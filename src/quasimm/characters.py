@@ -1,10 +1,11 @@
-"""Symmetric-group class functions.
+"""Symmetric-group class functions and the weight-vector type.
 
 Irreducible character values by the border-strip recursion, the closed
 form sign(sigma)(fixed points - 1) for the hook shape (2,1,...,1), the
-class-function-to-symmetric-function transform, and the coefficient
-families that turn elementary and monomial symmetric functions into
-permutation-sum weights.
+CoefficientTable that carries every permutation-sum weight vector, the
+named character-valued vectors, the class-function-to-symmetric-function
+transform, and the per-class elementary and monomial coefficient
+families.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from functools import cache
 
 from .combinatorics import (
     Partition,
+    as_composition,
     as_partition,
     cycles,
     enumerate_partitions,
+    format_parts,
     z_of,
 )
 
@@ -74,41 +77,58 @@ def _strip_recursion(lam: Partition, mu: Partition) -> int:
 
 
 @dataclass(frozen=True)
-class ClassFunction:
-    """Value table of a class function of S_n, indexed by cycle type."""
+class CoefficientTable:
+    """Per-class weights for a permutation sum.
+
+    key is "ctype" (weights indexed by cycle type, defined on every
+    partition of the degree) or "ccomp" (indexed by cycle composition,
+    defined on every composition of the degree).  provenance names the
+    construction that produced the weights.
+    """
 
     degree: int
+    key: str
     values: dict
+    provenance: str = ""
 
-    def __call__(self, mu) -> Fraction:
-        return self.values[as_partition(mu)]
+    def __call__(self, index) -> Fraction:
+        return self.values[as_partition(index) if self.key == "ctype" else as_composition(index)]
 
 
-def character_class_function(lam) -> ClassFunction:
-    """The irreducible character chi^lam as a value table over all classes."""
+def ClassFunction(degree: int, values: dict) -> CoefficientTable:
+    """A class function of S_n given by its values on cycle types."""
+    return CoefficientTable(degree, "ctype", values)
+
+
+def character_class_function(lam) -> CoefficientTable:
+    """The irreducible character chi^lam as a weight vector over all classes."""
     lam = as_partition(lam)
     n = sum(lam)
     values = {mu: Fraction(irreducible_character(lam, mu)) for mu in enumerate_partitions(n)}
-    return ClassFunction(n, values)
+    return CoefficientTable(n, "ctype", values, f"character[{format_parts(lam)}]")
 
 
-def trivial_character(n: int) -> ClassFunction:
+def trivial_character(n: int) -> CoefficientTable:
     """The constant class function 1."""
-    return ClassFunction(n, {mu: Fraction(1) for mu in enumerate_partitions(n)})
+    values = dict.fromkeys(enumerate_partitions(n), Fraction(1))
+    return CoefficientTable(n, "ctype", values, "constant 1")
 
 
-def sign_character(n: int) -> ClassFunction:
+def sign_character(n: int) -> CoefficientTable:
     """The class function (-1)^(n - number of parts of the cycle type)."""
     values = {mu: Fraction(-1 if (n - len(mu)) % 2 else 1) for mu in enumerate_partitions(n)}
-    return ClassFunction(n, values)
+    return CoefficientTable(n, "ctype", values, "sign")
 
 
-def frobenius(theta: ClassFunction):
+def frobenius(theta: CoefficientTable):
     """Symmetric function of a class function: sum over classes of theta(mu)/z_mu p_mu.
 
-    Returns the image in M coordinates.
+    Returns the image in M coordinates.  theta must be keyed by cycle type.
     """
     from . import qsym  # deferred: qsym imports this module at load time
+
+    if theta.key != "ctype":
+        raise ValueError("frobenius needs a table keyed by cycle type")
 
     total = qsym.QSym.zero("M")
     for mu, val in theta.values.items():
@@ -125,11 +145,7 @@ def epsilon_coeff(lam, mu) -> Fraction:
     """
     from . import qsym
 
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("coefficient arguments must be partitions of the same order")
-    return z_of(mu) * qsym.p_coefficient(qsym.elementary_sym(lam), mu)
+    return _p_weight(qsym.elementary_sym, lam, mu)
 
 
 def phi_coeff(lam, mu) -> Fraction:
@@ -139,8 +155,14 @@ def phi_coeff(lam, mu) -> Fraction:
     """
     from . import qsym
 
+    return _p_weight(qsym.monomial_sym, lam, mu)
+
+
+def _p_weight(build, lam, mu) -> Fraction:
+    from . import qsym
+
     lam = as_partition(lam)
     mu = as_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("coefficient arguments must be partitions of the same order")
-    return z_of(mu) * qsym.p_coefficient(qsym.monomial_sym(lam), mu)
+    return z_of(mu) * qsym.p_coefficient(build(lam), mu)

@@ -139,6 +139,8 @@ def cmd_verify(args) -> int:
         report = verification.verify_toeplitz(toeplitz_max)
     else:
         report = verification.verify_all(hook_max, toeplitz_max)
+    if not report.items:
+        raise UsageError(f"verify {args.scope} runs no checks with --max-n {args.max_n}")
     print(verification.render_table(report))
     if args.json:
         _write_json(args.json, report.to_json_dict())

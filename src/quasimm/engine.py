@@ -1,11 +1,13 @@
 """Exact evaluation of weighted permutation sums over square rational matrices.
 
-Every matrix function here is a sum over permutations of a per-class
-weight times the diagonal product picked out by the permutation.  The
-weights live in a CoefficientTable keyed by cycle type or by cycle
-composition; tables are materialized once per generating element and the
-permutation sum streams with constant-time lookups, skipping any branch
-whose partial product is already zero.
+Every matrix function here is one weighted_perm_sum: a sum over
+permutations of a per-class weight times the diagonal product picked out
+by the permutation.  The weights are a named CoefficientTable keyed by
+cycle type or by cycle composition: a character for the permanent,
+determinant and immanants, the hook rule for the fast hook path, and
+otherwise the table read from a quasisymmetric element, kept in one
+bounded LRU cache.  The permutation sum streams with constant-time
+lookups, skipping any branch whose partial product is already zero.
 """
 
 from __future__ import annotations
@@ -14,25 +16,27 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
-from .characters import epsilon_coeff, irreducible_character, phi_coeff
+from .characters import (
+    CoefficientTable,
+    character_class_function,
+    sign_character,
+    trivial_character,
+)
 from .combinatorics import (
     as_composition,
-    as_partition,
     count_perms_with_ctype,
     cycle_composition,
     cycle_type,
     enumerate_compositions,
     enumerate_partitions,
-    format_parts,
     sort_composition,
     z_of,
 )
-from .qsym import QSym, is_symmetric, to_coords
+from .qsym import QSym, elementary_sym, is_symmetric, monomial_sym, to_coords
 
 
 class SquareMatrix:
@@ -80,12 +84,12 @@ class SquareMatrix:
 
 def matrix_from_json_dict(obj) -> SquareMatrix:
     """Build a matrix from the {"n": ..., "entries": [[...]]} form."""
-    try:
-        entries = obj["entries"]
-    except (TypeError, KeyError):
-        raise ValueError("matrix object needs an 'entries' key") from None
-    matrix = SquareMatrix(entries)
+    if not isinstance(obj, dict) or "entries" not in obj:
+        raise ValueError("matrix JSON must be an object with an 'entries' key")
+    matrix = SquareMatrix(obj["entries"])
     declared = obj.get("n", matrix.n)
+    if not isinstance(declared, int) or isinstance(declared, bool):
+        raise ValueError("'n' must be an integer")
     if declared != matrix.n:
         raise ValueError(f"declared dimension {declared} disagrees with {matrix.n} rows")
     return matrix
@@ -94,7 +98,7 @@ def matrix_from_json_dict(obj) -> SquareMatrix:
 def load_matrix(path) -> SquareMatrix:
     """Read a matrix from a JSON or CSV file, deciding by the leading character."""
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("{", "["):
         return matrix_from_json_dict(json.loads(text))
     rows = []
     for row in csv.reader(io.StringIO(text)):
@@ -102,21 +106,6 @@ def load_matrix(path) -> SquareMatrix:
         if any(cells):
             rows.append(cells)
     return SquareMatrix(rows)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Per-class weights for a permutation sum.
-
-    key is "ctype" (weights indexed by cycle type, defined on every
-    partition of the degree) or "ccomp" (indexed by cycle composition,
-    defined on every composition of the degree).
-    """
-
-    degree: int
-    key: str
-    values: dict
-    provenance: str = ""
 
 
 def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
@@ -151,47 +140,14 @@ def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
     return total
 
 
-@cache
-def _ones_table(n: int) -> CoefficientTable:
-    values = {mu: Fraction(1) for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, provenance="constant 1")
-
-
-@cache
-def _sign_table(n: int) -> CoefficientTable:
-    values = {mu: Fraction(-1 if (n - len(mu)) % 2 else 1) for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, provenance="sign")
-
-
-@cache
-def _character_table(lam) -> CoefficientTable:
-    n = sum(lam)
-    values = {mu: Fraction(irreducible_character(lam, mu)) for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, provenance=f"character[{format_parts(lam)}]")
-
-
-@cache
-def _epsilon_table(lam) -> CoefficientTable:
-    n = sum(lam)
-    values = {mu: epsilon_coeff(lam, mu) for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, provenance=f"epsilon[{format_parts(lam)}]")
-
-
-@cache
-def _phi_table(lam) -> CoefficientTable:
-    n = sum(lam)
-    values = {mu: phi_coeff(lam, mu) for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, provenance=f"phi[{format_parts(lam)}]")
-
-
 def permanent(a: SquareMatrix) -> Fraction:
-    """Permutation sum with all weights 1."""
-    return weighted_perm_sum(a, _ones_table(a.n))
+    """Permutation sum weighted by the trivial character."""
+    return weighted_perm_sum(a, trivial_character(a.n))
 
 
 def determinant(a: SquareMatrix) -> Fraction:
     """Permutation sum weighted by the sign character."""
-    return weighted_perm_sum(a, _sign_table(a.n))
+    return weighted_perm_sum(a, sign_character(a.n))
 
 
 def determinant_elimination(a: SquareMatrix) -> Fraction:
@@ -228,10 +184,7 @@ def determinant_elimination(a: SquareMatrix) -> Fraction:
 
 def immanant(a: SquareMatrix, lam) -> Fraction:
     """Permutation sum weighted by the irreducible character of shape lam."""
-    lam = as_partition(lam)
-    if sum(lam) != a.n:
-        raise ValueError(f"shape order {sum(lam)} does not match matrix dimension {a.n}")
-    return weighted_perm_sum(a, _character_table(lam))
+    return weighted_perm_sum(a, character_class_function(lam))
 
 
 def second_immanant(a: SquareMatrix) -> Fraction:
@@ -242,24 +195,16 @@ def second_immanant(a: SquareMatrix) -> Fraction:
 
 
 def elementary_immanant(a: SquareMatrix, lam) -> Fraction:
-    """Permutation sum weighted by the elementary coefficient family of lam."""
-    lam = as_partition(lam)
-    if sum(lam) != a.n:
-        raise ValueError(f"shape order {sum(lam)} does not match matrix dimension {a.n}")
-    return weighted_perm_sum(a, _epsilon_table(lam))
+    """Quasi-immanant of e_lam: weight z_mu times the p_mu coefficient of e_lam."""
+    return qimm(a, elementary_sym(lam))
 
 
 def monomial_immanant(a: SquareMatrix, lam) -> Fraction:
-    """Permutation sum weighted by the monomial coefficient family of lam."""
-    lam = as_partition(lam)
-    if sum(lam) != a.n:
-        raise ValueError(f"shape order {sum(lam)} does not match matrix dimension {a.n}")
-    return weighted_perm_sum(a, _phi_table(lam))
+    """Quasi-immanant of m_lam: weight z_mu times the p_mu coefficient of m_lam."""
+    return qimm(a, monomial_sym(lam))
 
 
-_QIMM_TABLES: dict = {}
-
-
+@lru_cache(maxsize=128)  # a fixed bound, above any pool of elements used at once
 def qimm_coefficient_table(q: QSym, variant: str = "Psi", branch: str = "auto") -> CoefficientTable:
     """Materialize the per-class weights read from n! times the element q.
 
@@ -274,31 +219,20 @@ def qimm_coefficient_table(q: QSym, variant: str = "Psi", branch: str = "auto") 
         raise ValueError(f"unknown power-sum variant {variant!r}")
     if branch not in ("auto", "ctype", "ccomp"):
         raise ValueError(f"unknown branch {branch!r}")
-    key = (q, variant, branch)
-    cached = _QIMM_TABLES.get(key)
-    if cached is not None:
-        return cached
     n = q.degree()
-    resolved = branch
-    if resolved == "auto":
-        resolved = "ctype" if is_symmetric(q) else "ccomp"
-    if resolved == "ctype":
-        if not is_symmetric(q):
-            raise ValueError("cycle-type weighting needs a symmetric element")
-        psi = to_coords(q, "Psi")
-        values = {
-            mu: z_of(mu) * psi.coeffs.get(mu, Fraction(0)) for mu in enumerate_partitions(n)
-        }
-        table = CoefficientTable(n, "ctype", values, provenance=f"qimm ctype degree {n}")
-    else:
-        coords = to_coords(q, variant)
-        factorial = math.factorial(n)
-        values = {
-            alpha: factorial * coords.coeffs.get(alpha, Fraction(0))
-            for alpha in enumerate_compositions(n)
-        }
-        table = CoefficientTable(n, "ccomp", values, provenance=f"qimm {variant} degree {n}")
-    return _QIMM_TABLES.setdefault(key, table)
+    symmetric = branch != "ccomp" and is_symmetric(q)
+    if branch == "ctype" and not symmetric:
+        raise ValueError("cycle-type weighting needs a symmetric element")
+    if symmetric:
+        psi = to_coords(q, "Psi").coeffs
+        values = {mu: z_of(mu) * psi.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
+        return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
+    coords = to_coords(q, variant).coeffs
+    factorial = math.factorial(n)
+    values = {
+        alpha: factorial * coords.get(alpha, Fraction(0)) for alpha in enumerate_compositions(n)
+    }
+    return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
 
 
 def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi", branch: str = "auto") -> Fraction:

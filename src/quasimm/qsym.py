@@ -177,7 +177,19 @@ def monomial_sym(lam) -> QSym:
 
 @cache
 def _monomial_sym(lam) -> QSym:
-    return QSym("M", {alpha: 1 for alpha in set(itertools.permutations(lam))})
+    return QSym("M", dict.fromkeys(_rearrangements(lam), 1))
+
+
+def _rearrangements(parts: tuple) -> list:
+    """Distinct orderings of the multiset of parts, led in turn by each distinct part."""
+    if not parts:
+        return [()]
+    return [
+        (p,) + rest
+        for i, p in enumerate(parts)
+        if p not in parts[:i]
+        for rest in _rearrangements(parts[:i] + parts[i + 1 :])
+    ]
 
 
 def power_sym(lam) -> QSym:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quasimm.characters import (
+    CoefficientTable,
     character_class_function,
     chi2,
     epsilon_coeff,
@@ -126,6 +127,28 @@ def test_class_function_call():
     theta = character_class_function((2, 1))
     assert theta((2, 1)) == 0
     assert theta((1, 1, 1)) == 2
+
+
+def test_named_weight_vectors():
+    n = 4
+    assert trivial_character(n).provenance == "constant 1"
+    assert sign_character(n).provenance == "sign"
+    assert character_class_function((3, 1)).provenance == "character[3,1]"
+    for table in (trivial_character(n), sign_character(n), character_class_function((3, 1))):
+        assert table.degree == n and table.key == "ctype"
+        assert set(table.values) == set(enumerate_partitions(n))
+    assert sign_character(n)((2, 1, 1)) == -1
+    with pytest.raises(ValueError):
+        sign_character(n)((1, 2, 1))
+
+
+def test_composition_keyed_tables():
+    table = CoefficientTable(3, "ccomp", {(1, 2): Fraction(5), (2, 1): Fraction(7)})
+    assert table((1, 2)) == 5 and table((2, 1)) == 7
+    with pytest.raises(ValueError):
+        table((0, 3))
+    with pytest.raises(ValueError):
+        frobenius(table)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

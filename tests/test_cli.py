@@ -146,6 +146,16 @@ def test_input_errors_exit_one(tmp_path):
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps({"entries": [[1, 2], [3]]}))
     assert run_cli("det", str(ragged)).returncode == 1
+    string_n = tmp_path / "string_n.json"
+    string_n.write_text(json.dumps({"n": "2", "entries": [[1, 2], [3, 4]]}))
+    result = run_cli("det", str(string_n))
+    assert result.returncode == 1
+    assert "'n' must be an integer" in result.stderr
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([[1, 2], [3, 4]]))
+    result = run_cli("det", str(array))
+    assert result.returncode == 1
+    assert "matrix JSON must be an object with an 'entries' key" in result.stderr
 
 
 def test_imm_usage_errors(primes_path):
@@ -179,6 +189,14 @@ def test_verify_scopes_with_bound(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["all_pass"] is True
     assert {"id", "expected", "got", "pass"} == set(payload["items"][0])
+
+
+def test_verify_with_no_checks_is_usage_error():
+    for scope, bound in (("theorem4", "2"), ("toeplitz", "1")):
+        result = run_cli("verify", scope, "--max-n", bound)
+        assert result.returncode == 2
+        assert scope in result.stderr and f"--max-n {bound}" in result.stderr
+        assert "checks passed" not in result.stdout
 
 
 def test_toeplitz_command():

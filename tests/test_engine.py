@@ -31,7 +31,16 @@ from quasimm.engine import (
     second_immanant,
     weighted_perm_sum,
 )
-from quasimm.qsym import QSym, elementary_sym, monomial_sym, power_sym, quasischur, schur_sym
+from quasimm.characters import epsilon_coeff, phi_coeff
+from quasimm.qsym import (
+    QSym,
+    elementary_sym,
+    homogeneous_sym,
+    monomial_sym,
+    power_sym,
+    quasischur,
+    schur_sym,
+)
 
 PRIMES = SquareMatrix([[2, 3, 5], [7, 11, 13], [17, 19, 23]])
 ONES3 = SquareMatrix([[1] * 3] * 3)
@@ -92,6 +101,10 @@ def test_matrix_json_round_trip():
         matrix_from_json_dict({"n": 4, "entries": [["1"]]})
     with pytest.raises(ValueError):
         matrix_from_json_dict(None)
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        matrix_from_json_dict({"n": "3", "entries": payload["entries"]})
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        matrix_from_json_dict({"n": True, "entries": [["1"]]})
 
 
 def test_load_matrix_json_and_csv(tmp_path):
@@ -245,6 +258,32 @@ def test_qimm_symmetric_branch_reduces_to_immanants():
             assert qimm(a, schur_sym(lam)) == immanant(a, lam)
             assert qimm(a, elementary_sym(lam), "Phi") == elementary_immanant(a, lam)
             assert qimm(a, monomial_sym(lam), "Phi") == monomial_immanant(a, lam)
+        a = _random_matrix(rng, n)
+        assert qimm(a, homogeneous_sym((n,))) == permanent(a)
+        assert qimm(a, elementary_sym((n,))) == determinant(a)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_elementary_and_monomial_immanants_match_per_class_families(n):
+    # Independent route: weights taken class by class from epsilon_coeff and
+    # phi_coeff, summed over every permutation without pruning.
+    rng = random.Random(2600 + n)
+    matrices = (_random_matrix(rng, n), _sparse_matrix(rng, n))
+    classes = enumerate_partitions(n)
+    for lam in classes:
+        eps = CoefficientTable(n, "ctype", {mu: epsilon_coeff(lam, mu) for mu in classes})
+        phi = CoefficientTable(n, "ctype", {mu: phi_coeff(lam, mu) for mu in classes})
+        for a in matrices:
+            assert elementary_immanant(a, lam) == _unpruned_sum(a, eps)
+            assert monomial_immanant(a, lam) == _unpruned_sum(a, phi)
+
+
+def test_element_table_cache_is_bounded():
+    info = qimm_coefficient_table.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    for k in range(1, info.maxsize + 6):
+        qimm_coefficient_table(QSym("M", {(1, 1): k, (2,): 1}))
+        assert qimm_coefficient_table.cache_info().currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("n", range(2, 5))

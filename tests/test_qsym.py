@@ -153,6 +153,19 @@ def test_classical_elements():
             builder((1, 2))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monomial_terms_are_the_distinct_rearrangements(n):
+    for lam in enumerate_partitions(n):
+        m = monomial_sym(lam)
+        assert set(m.coeffs) == set(itertools.permutations(lam))
+        assert set(m.coeffs.values()) == {1}
+
+
+def test_monomial_term_counts_at_large_degree():
+    assert monomial_sym((25,)) == M(25)
+    assert len(monomial_sym((2, 2) + (1,) * 8).coeffs) == 45
+
+
 def test_newton_style_relations():
     # e2 = (p1^2 - p2)/2 and h2 = (p1^2 + p2)/2
     p11, p2 = power_sym((1, 1)), power_sym((2,))
