@@ -66,17 +66,17 @@ from .engine import (
 )
 from .qsym import (
     QSym,
-    TransitionMatrix,
-    build_transition,
     count_composition_tableaux,
     elementary_sym,
     format_element,
     homogeneous_sym,
     is_symmetric,
     m_product,
+    m_to_power_row,
     monomial_sym,
     p_coefficient,
     power_sym,
+    power_to_m_row,
     quasischur,
     schur_sym,
     to_coords,

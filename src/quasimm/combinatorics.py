@@ -159,27 +159,31 @@ def dominance_order(alpha, beta) -> int:
     return (ka > kb) - (ka < kb)
 
 
+def weighted_coarsenings(beta, block_weight) -> list[tuple[Composition, object]]:
+    """Each coarsening of beta, with the product of block_weight over its merged blocks.
+
+    Built from the right end: the coarsenings of beta[i:] extend those of
+    beta[j:] by the block beta[i:j], so each block is weighed once and each
+    of the 2^(len(beta)-1) coarsenings costs one product.
+    """
+    ell = len(beta)
+    tails = [[((), 1)]]  # tails[k]: the coarsenings of the last k parts
+    for i in range(ell - 1, -1, -1):
+        rows = []
+        for j in range(i + 1, ell + 1):
+            block = beta[i:j]
+            part, weight = sum(block), block_weight(block)
+            rows.extend(((part,) + rest, weight * w) for rest, w in tails[ell - j])
+        tails.append(rows)
+    return tails[-1]
+
+
 def coarsenings(beta) -> list[Composition]:
     """All 2^(len(beta)-1) compositions obtained by merging consecutive parts of beta.
 
     These are exactly the alpha with refines(beta, alpha).
     """
-    ell = len(beta)
-    if ell == 0:
-        return [()]
-    out = []
-    for mask in range(1 << (ell - 1)):
-        parts = []
-        run = beta[0]
-        for i in range(1, ell):
-            if (mask >> (i - 1)) & 1:
-                parts.append(run)
-                run = beta[i]
-            else:
-                run += beta[i]
-        parts.append(run)
-        out.append(tuple(parts))
-    return out
+    return [alpha for alpha, _ in weighted_coarsenings(tuple(beta), lambda block: 1)]
 
 
 def enumerate_compositions(n: int) -> list[Composition]:

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from functools import cache, lru_cache
 from pathlib import Path
@@ -39,6 +40,10 @@ from .combinatorics import (
 from .qsym import QSym, elementary_sym, is_symmetric, monomial_sym, to_coords
 
 
+# Text entries: an optionally signed integer, or such an integer over a nonzero one.
+_ENTRY_TEXT = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 class SquareMatrix:
     """Immutable dense square matrix of exact rationals."""
 
@@ -51,6 +56,8 @@ class SquareMatrix:
             for entry in row:
                 if isinstance(entry, float):
                     raise ValueError("floating-point entries are not accepted")
+                if isinstance(entry, str) and not _ENTRY_TEXT.fullmatch(entry.strip()):
+                    raise ValueError(f"matrix entry {entry!r} is not an integer or a/b")
                 out.append(Fraction(entry))
             converted.append(tuple(out))
         n = len(converted)
@@ -204,7 +211,6 @@ def monomial_immanant(a: SquareMatrix, lam) -> Fraction:
     return qimm(a, monomial_sym(lam))
 
 
-@lru_cache(maxsize=128)  # a fixed bound, above any pool of elements used at once
 def qimm_coefficient_table(q: QSym, variant: str = "Psi", branch: str = "auto") -> CoefficientTable:
     """Materialize the per-class weights read from n! times the element q.
 
@@ -213,26 +219,40 @@ def qimm_coefficient_table(q: QSym, variant: str = "Psi", branch: str = "auto") 
     power-sum expansion), and any other q is keyed by cycle composition
     with weight n! times its coordinate in the chosen power-sum variant.
     Forcing "ccomp" on a symmetric element is allowed and scales each
-    class by n!/z_mu relative to the "ctype" keying.
+    class by n!/z_mu relative to the "ctype" keying.  Tables are cached,
+    and every spelling that yields the same table returns the same object.
     """
     if variant not in ("Psi", "Phi"):
         raise ValueError(f"unknown power-sum variant {variant!r}")
     if branch not in ("auto", "ctype", "ccomp"):
         raise ValueError(f"unknown branch {branch!r}")
+    return _coefficient_table(q, variant, branch)
+
+
+@lru_cache(maxsize=128)  # a fixed bound, above any pool of elements used at once
+def _coefficient_table(q: QSym, variant: str | None, branch: str) -> CoefficientTable:
     n = q.degree()
-    symmetric = branch != "ccomp" and is_symmetric(q)
-    if branch == "ctype" and not symmetric:
-        raise ValueError("cycle-type weighting needs a symmetric element")
-    if symmetric:
+    if branch == "ccomp":
+        coords = to_coords(q, variant).coeffs
+        factorial = math.factorial(n)
+        values = {
+            alpha: factorial * coords.get(alpha, Fraction(0))
+            for alpha in enumerate_compositions(n)
+        }
+        return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
+    if variant is None:  # the one cycle-type entry, reached once q is known to be symmetric
         psi = to_coords(q, "Psi").coeffs
         values = {mu: z_of(mu) * psi.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
         return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
-    coords = to_coords(q, variant).coeffs
-    factorial = math.factorial(n)
-    values = {
-        alpha: factorial * coords.get(alpha, Fraction(0)) for alpha in enumerate_compositions(n)
-    }
-    return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
+    if is_symmetric(q):
+        return _coefficient_table(q, None, "ctype")
+    if branch == "ctype":
+        raise ValueError("cycle-type weighting needs a symmetric element")
+    return _coefficient_table(q, variant, "ccomp")
+
+
+qimm_coefficient_table.cache_info = _coefficient_table.cache_info
+qimm_coefficient_table.cache_clear = _coefficient_table.cache_clear
 
 
 def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi", branch: str = "auto") -> Fraction:

@@ -3,8 +3,8 @@
 The monomial basis M_alpha is the working representation.  Classical
 symmetric bases (m, p, e, h, s) are embedded through the quasi-shuffle
 product, quasi-Schur elements come from composition tableau counts, and
-the two power-sum coordinate systems (Psi and Phi) are reached through
-per-degree triangular transition matrices against M.
+the two power-sum coordinate systems (Psi and Phi) are reached term by
+term through closed-form rows against M.
 """
 
 from __future__ import annotations
@@ -13,20 +13,18 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .characters import irreducible_character
 from .combinatorics import (
     as_composition,
     as_partition,
-    coarsenings,
     dominance_key,
-    ell_stat,
     enumerate_compositions,
     enumerate_partitions,
     format_parts,
-    lp_stat,
     sort_composition,
+    weighted_coarsenings,
     z_of,
     z_of_composition,
 )
@@ -315,105 +313,77 @@ def _quasischur(alpha) -> QSym:
     return QSym("M", terms)
 
 
-class TransitionMatrix:
-    """Change of basis between M and one power-sum coordinate system, per degree.
+# Closed-form rows (Ballantine, Daugherty, Hicks, Mason and Niese, "On
+# quasisymmetric power sums").  Merging a block b of consecutive parts into
+# one part contributes the factor below; a row's entry is the product of its
+# blocks' factors, then divided by z of the coarsening (M to power sums) or
+# multiplied by z of the row's own index (power sums to M).  The products are
+# the signed lp(beta,alpha) and prod(alpha)/ell(beta,alpha), and 1/pi(alpha,beta)
+# and 1/sp(alpha,beta).
+_TO_POWER = {
+    "Psi": lambda b: -b[-1] if len(b) % 2 == 0 else b[-1],
+    "Phi": lambda b: Fraction(-sum(b) if len(b) % 2 == 0 else sum(b), len(b)),
+}
+_TO_M = {
+    "Psi": lambda b: Fraction(1, math.prod(itertools.accumulate(b))),
+    "Phi": lambda b: Fraction(1, math.factorial(len(b)) * math.prod(b)),
+}
 
-    Row beta holds the expansion of M_beta over Psi (or Phi): the only
-    nonzero columns are the coarsenings of beta, with coefficient
-    (-1)^(len(beta)-len(alpha)) lp(beta,alpha)/z_alpha for Psi and
-    (-1)^(len(beta)-len(alpha)) prod(alpha)/(z_alpha ell(beta,alpha)) for
-    Phi.  In descending dominance order the matrix is lower triangular
-    with diagonal prod(beta)/z_beta, hence invertible.
+
+def m_to_power_row(beta, variant: str = "Psi") -> dict:
+    """Psi (or Phi) coordinates of M_beta: one entry per coarsening alpha of beta.
+
+    The entry is (-1)^(len(beta)-len(alpha)) lp(beta,alpha)/z_alpha for Psi
+    and (-1)^(len(beta)-len(alpha)) prod(alpha)/(z_alpha ell(beta,alpha))
+    for Phi.
     """
-
-    def __init__(self, degree: int, variant: str):
-        if variant not in ("Psi", "Phi"):
-            raise ValueError(f"unknown power-sum variant {variant!r}")
-        self.degree = degree
-        self.variant = variant
-        self.order = tuple(enumerate_compositions(degree))
-        self.position = {alpha: i for i, alpha in enumerate(self.order)}
-        rows = {}
-        for beta in self.order:
-            row = {}
-            for alpha in coarsenings(beta):
-                flip = (len(beta) - len(alpha)) % 2
-                if variant == "Psi":
-                    coeff = Fraction(lp_stat(beta, alpha), z_of_composition(alpha))
-                else:
-                    coeff = Fraction(
-                        math.prod(alpha), z_of_composition(alpha) * ell_stat(beta, alpha)
-                    )
-                row[alpha] = -coeff if flip else coeff
-            rows[beta] = row
-        self.rows = rows
-
-    def entry(self, beta, alpha) -> Fraction:
-        return self.rows[beta].get(alpha, Fraction(0))
-
-    @cached_property
-    def inverse_rows(self) -> dict:
-        """M coordinates of each power-sum basis element.
-
-        inverse_rows[alpha][beta] is the M_beta coefficient of Psi_alpha
-        (or Phi_alpha).  Computed by substitution down the dominance
-        order: every strict coarsening of alpha precedes alpha.
-        """
-        inv: dict = {}
-        for alpha in self.order:
-            row = self.rows[alpha]
-            acc = {alpha: Fraction(1)}
-            for coarser, c in row.items():
-                if coarser == alpha:
-                    continue
-                for beta, x in inv[coarser].items():
-                    acc[beta] = acc.get(beta, Fraction(0)) - c * x
-            diagonal = row[alpha]
-            inv[alpha] = {beta: v / diagonal for beta, v in acc.items() if v}
-        return inv
+    _check_variant(variant)
+    return to_coords(QSym.basis_element("M", beta), variant).coeffs
 
 
-_TRANSITIONS: dict[tuple[int, str], TransitionMatrix] = {}
+def power_to_m_row(alpha, variant: str = "Psi") -> dict:
+    """M coordinates of Psi_alpha (or Phi_alpha): one entry per coarsening beta of alpha.
+
+    The entry is z_alpha/pi(alpha,beta) for Psi and z_alpha/sp(alpha,beta)
+    for Phi, where pi multiplies the partial sums within each block and sp
+    multiplies each block's length factorial by its parts.
+    """
+    _check_variant(variant)
+    return to_coords(QSym.basis_element(variant, alpha), "M").coeffs
 
 
-def build_transition(n: int, variant: str = "Psi") -> TransitionMatrix:
-    """Get or build the cached transition matrix for one degree."""
-    key = (n, variant)
-    matrix = _TRANSITIONS.get(key)
-    if matrix is None:
-        matrix = _TRANSITIONS.setdefault(key, TransitionMatrix(n, variant))
-    return matrix
+def _check_variant(variant: str) -> None:
+    if variant not in ("Psi", "Phi"):
+        raise ValueError(f"unknown power-sum variant {variant!r}")
 
 
 def to_coords(q: QSym, target: str) -> QSym:
-    """Coordinates of q in the target basis, converted degree by degree."""
+    """Coordinates of q in the target basis, one closed-form row per term."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
     if q.basis == target:
         return q
     if q.basis != "M":
-        q = _power_to_m(q)
+        terms = ((alpha, c * z_of_composition(alpha)) for alpha, c in q.coeffs.items())
+        q = QSym("M", _merge_blocks(terms, _TO_M[q.basis]))
         if target == "M":
             return q
-    return _m_to_power(q, target)
+    # Scaled to integer coefficients, the Psi sums stay in integer arithmetic.
+    scale = math.lcm(*(c.denominator for c in q.coeffs.values()))
+    terms = ((beta, c.numerator * (scale // c.denominator)) for beta, c in q.coeffs.items())
+    sums = _merge_blocks(terms, _TO_POWER[target])
+    return QSym(
+        target, {alpha: Fraction(s, scale * z_of_composition(alpha)) for alpha, s in sums.items()}
+    )
 
 
-def _m_to_power(q: QSym, variant: str) -> QSym:
-    out: dict = {}
-    for alpha, c in q.coeffs.items():
-        row = build_transition(sum(alpha), variant).rows[alpha]
-        for gamma, entry in row.items():
-            out[gamma] = out.get(gamma, Fraction(0)) + c * entry
-    return QSym(variant, out)
-
-
-def _power_to_m(q: QSym) -> QSym:
-    out: dict = {}
-    for alpha, c in q.coeffs.items():
-        inverse = build_transition(sum(alpha), q.basis).inverse_rows
-        for beta, x in inverse[alpha].items():
-            out[beta] = out.get(beta, Fraction(0)) + c * x
-    return QSym("M", out)
+def _merge_blocks(terms, factor) -> dict:
+    """Sum over (index, c) of c times each coarsening of index, weighted by its blocks."""
+    out: defaultdict = defaultdict(int)
+    for index, c in terms:
+        for coarser, w in weighted_coarsenings(index, factor):
+            out[coarser] += c * w
+    return out
 
 
 def _rearrangement_count(lam) -> int:

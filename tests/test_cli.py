@@ -158,6 +158,23 @@ def test_input_errors_exit_one(tmp_path):
     assert "matrix JSON must be an object with an 'entries' key" in result.stderr
 
 
+def test_matrix_text_rule(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text("-3,+4\n 1/2 ,1\n")
+    result = run_cli("det", str(good))
+    assert result.returncode == 0
+    assert result.stdout.strip() == "-5"
+    for name, entry, text in (
+        ("exponent.csv", "1e3", "1e3,1\n1,1\n"),
+        ("decimal.json", "1.5", json.dumps({"entries": [["1.5", "1"], ["1", "1"]]})),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        result = run_cli("det", str(path))
+        assert result.returncode == 1
+        assert f"matrix entry '{entry}' is not an integer or a/b" in result.stderr
+
+
 def test_imm_usage_errors(primes_path):
     wrong_order = run_cli("imm", primes_path, "2,2")
     assert wrong_order.returncode == 2

@@ -1,9 +1,11 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from quasimm import engine
 from quasimm.combinatorics import (
     cycle_composition,
     cycle_type,
@@ -120,6 +122,28 @@ def test_load_matrix_json_and_csv(tmp_path):
     bad.write_text("1,2\n3\n")
     with pytest.raises(ValueError):
         load_matrix(bad)
+
+
+@pytest.mark.parametrize(
+    "entry", ["1e3", "1.5", "1_000", "1/0", "0x10", "nan", "1 / 2", "--1", "1/-2", "/3", "3/", ""]
+)
+def test_text_entries_outside_the_rule_are_rejected(tmp_path, entry):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(f"{entry},1\n1,1\n")
+    json_path = tmp_path / "bad.json"
+    json_path.write_text(json.dumps({"entries": [[entry, "1"], ["1", "1"]]}))
+    for path in (csv_path, json_path):
+        with pytest.raises(ValueError, match=f"matrix entry {re.escape(repr(entry))} "):
+            load_matrix(path)
+
+
+def test_text_entries_accept_signed_integers_and_ratios(tmp_path):
+    expected = SquareMatrix([[-3, 4], [Fraction(1, 2), 1]])
+    csv_path = tmp_path / "good.csv"
+    csv_path.write_text("-3,+4\n 1/2 ,1\n")
+    json_path = tmp_path / "good.json"
+    json_path.write_text(json.dumps({"entries": [["-3", "+4"], [" 1/2 ", "1"]]}))
+    assert load_matrix(csv_path) == load_matrix(json_path) == expected
 
 
 def test_weighted_perm_sum_basics():
@@ -286,6 +310,24 @@ def test_element_table_cache_is_bounded():
         assert qimm_coefficient_table.cache_info().currsize <= info.maxsize
 
 
+def test_symmetric_element_spellings_share_one_table(monkeypatch):
+    e = elementary_sym((2, 2))
+    a = _random_matrix(random.Random(22), 4)
+    conversions = []
+    convert = engine.to_coords
+    monkeypatch.setattr(
+        engine, "to_coords", lambda q, target: conversions.append(target) or convert(q, target)
+    )
+    qimm_coefficient_table.cache_clear()
+    assert qimm(a, e) == qimm(a, e, "Phi")
+    table = qimm_coefficient_table(e)
+    assert table.key == "ctype"
+    assert qimm_coefficient_table(e, "Psi") is table
+    assert qimm_coefficient_table(e, "Phi", "auto") is table
+    assert qimm_coefficient_table(e, branch="ctype") is table
+    assert conversions == ["Psi"]
+
+
 @pytest.mark.parametrize("n", range(2, 5))
 def test_qimm_determinant_reduction(n):
     rng = random.Random(61 + n)
@@ -365,6 +407,52 @@ def test_hook_fast_agrees_with_generic_path(n):
     for _ in range(3):
         a = _random_matrix(rng, n)
         assert qimm_hook_fast(a) == qimm(a, hook)
+
+
+# The matrix functions at orders 1 and 2 as (weight of the identity, weight of
+# the transposition); at order 1 every one of them is the single entry.
+_ORDER_TWO_WEIGHTS = {
+    "permanent": (lambda a, n: permanent(a), (1, 1)),
+    "determinant": (lambda a, n: determinant(a), (1, -1)),
+    "immanant row": (lambda a, n: immanant(a, (n,)), (1, 1)),
+    "immanant column": (lambda a, n: immanant(a, (1,) * n), (1, -1)),
+    "elementary row": (lambda a, n: elementary_immanant(a, (n,)), (1, -1)),
+    "elementary column": (lambda a, n: elementary_immanant(a, (1,) * n), (2, 0)),
+    "monomial row": (lambda a, n: monomial_immanant(a, (n,)), (0, 2)),
+    "monomial column": (lambda a, n: monomial_immanant(a, (1,) * n), (1, -1)),
+}
+for _variant in ("Psi", "Phi"):
+    for _branch in ("auto", "ccomp"):
+        _ORDER_TWO_WEIGHTS[f"qimm M[n] {_variant} {_branch}"] = (
+            lambda a, n, v=_variant, b=_branch: qimm(a, QSym.basis_element("M", (n,)), v, b),
+            (0, 2),
+        )
+        _ORDER_TWO_WEIGHTS[f"qimm M[1^n] {_variant} {_branch}"] = (
+            lambda a, n, v=_variant, b=_branch: qimm(a, QSym.basis_element("M", (1,) * n), v, b),
+            (1, -1),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matrix_functions_at_orders_one_and_two(n):
+    rng = random.Random(12 + n)
+    rational = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+    for a in (_random_matrix(rng, n), SquareMatrix(rational), SquareMatrix.identity(n)):
+        if n == 1:
+            expected = {name: a.entry(1, 1) for name in _ORDER_TWO_WEIGHTS}
+        else:
+            diagonal, swap = a.entry(1, 1) * a.entry(2, 2), a.entry(1, 2) * a.entry(2, 1)
+            expected = {name: w * diagonal + t * swap for name, (_, (w, t)) in _ORDER_TWO_WEIGHTS.items()}
+        got = {name: fn(a, n) for name, (fn, _) in _ORDER_TWO_WEIGHTS.items()}
+        assert got == expected
+        assert determinant(a) == determinant_elimination(a)
+        if n == 1:
+            with pytest.raises(ValueError):
+                second_immanant(a)
+        else:
+            assert second_immanant(a) == permanent(a)
+        with pytest.raises(ValueError):
+            qimm_hook_fast(a)
 
 
 def test_hook_fast_validation():

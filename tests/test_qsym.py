@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,24 +11,28 @@ from hypothesis import strategies as st
 from quasimm.characters import irreducible_character
 from quasimm.combinatorics import (
     dominance_order,
+    ell_stat,
     enumerate_compositions,
     enumerate_partitions,
+    lp_stat,
     refines,
     sort_composition,
     z_of,
+    z_of_composition,
 )
 from quasimm.qsym import (
     QSym,
-    build_transition,
     count_composition_tableaux,
     elementary_sym,
     format_element,
     homogeneous_sym,
     is_symmetric,
     m_product,
+    m_to_power_row,
     monomial_sym,
     p_coefficient,
     power_sym,
+    power_to_m_row,
     quasischur,
     schur_sym,
     to_coords,
@@ -230,29 +235,76 @@ def test_quasischur_rearrangements_sum_to_schur(n):
         assert total == schur_sym(lam)
 
 
+def _oracle_transition(n, variant):
+    """Whole-degree change of basis between M and Psi/Phi, the reference for the closed-form rows.
+
+    Row beta holds M_beta over the power sums, from the block statistics
+    lp and ell; the inverse comes from triangular substitution down the
+    dominance order, in which every strict coarsening precedes alpha.
+    """
+    order = enumerate_compositions(n)
+    rows = {}
+    for beta in order:
+        row = {}
+        for alpha in (alpha for alpha in order if refines(beta, alpha)):
+            if variant == "Psi":
+                coeff = Fraction(lp_stat(beta, alpha), z_of_composition(alpha))
+            else:
+                coeff = Fraction(
+                    math.prod(alpha), z_of_composition(alpha) * ell_stat(beta, alpha)
+                )
+            row[alpha] = -coeff if (len(beta) - len(alpha)) % 2 else coeff
+        rows[beta] = row
+    inverse = {}
+    for alpha in order:
+        acc = {alpha: Fraction(1)}
+        for coarser, c in rows[alpha].items():
+            if coarser != alpha:
+                for beta, x in inverse[coarser].items():
+                    acc[beta] = acc.get(beta, Fraction(0)) - c * x
+        inverse[alpha] = {beta: v / rows[alpha][alpha] for beta, v in acc.items() if v}
+    return rows, inverse
+
+
+@pytest.mark.parametrize("variant", ["Psi", "Phi"])
+@pytest.mark.parametrize("n", range(0, 9))
+def test_rows_match_triangular_oracle(n, variant):
+    rows, inverse = _oracle_transition(n, variant)
+    for alpha in enumerate_compositions(n):
+        assert m_to_power_row(alpha, variant) == rows[alpha], alpha
+        assert power_to_m_row(alpha, variant) == inverse[alpha], alpha
+        m = M(*alpha)
+        assert to_coords(to_coords(m, variant), "M") == m
+
+
+def test_power_to_m_works_term_by_term_at_degree_14():
+    # A whole-degree inverse at degree 14 would take hours.
+    q = QSym("Psi", {(2,) + (1,) * 12: 1, (1, 3) + (1,) * 10: Fraction(1, 2)})
+    expanded = to_coords(q, "M")
+    assert len(expanded.coeffs) == 5120
+    assert expanded.coefficient((2,) + (1,) * 12) == math.factorial(12)
+
+
 def test_transition_rows_degree_two():
-    psi = build_transition(2, "Psi")
-    assert psi.rows[(2,)] == {(2,): 1}
-    assert psi.rows[(1, 1)] == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
-    assert psi.inverse_rows[(2,)] == {(2,): 1}
-    assert psi.inverse_rows[(1, 1)] == {(1, 1): 2, (2,): 1}
+    assert m_to_power_row((2,), "Psi") == {(2,): 1}
+    assert m_to_power_row((1, 1), "Psi") == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
+    assert power_to_m_row((2,), "Psi") == {(2,): 1}
+    assert power_to_m_row((1, 1), "Psi") == {(1, 1): 2, (2,): 1}
 
 
 def test_transition_rows_degree_three():
-    psi = build_transition(3, "Psi")
-    assert psi.rows[(3,)] == {(3,): 1}
-    assert psi.rows[(2, 1)] == {(2, 1): 1, (3,): Fraction(-1, 3)}
-    assert psi.rows[(1, 2)] == {(1, 2): 1, (3,): Fraction(-2, 3)}
-    assert psi.rows[(1, 1, 1)] == {
+    assert m_to_power_row((3,), "Psi") == {(3,): 1}
+    assert m_to_power_row((2, 1), "Psi") == {(2, 1): 1, (3,): Fraction(-1, 3)}
+    assert m_to_power_row((1, 2), "Psi") == {(1, 2): 1, (3,): Fraction(-2, 3)}
+    assert m_to_power_row((1, 1, 1), "Psi") == {
         (1, 1, 1): Fraction(1, 6),
         (2, 1): Fraction(-1, 2),
         (1, 2): Fraction(-1, 2),
         (3,): Fraction(1, 3),
     }
-    phi = build_transition(3, "Phi")
-    assert phi.rows[(2, 1)] == {(2, 1): 1, (3,): Fraction(-1, 2)}
-    assert phi.rows[(1, 2)] == {(1, 2): 1, (3,): Fraction(-1, 2)}
-    assert phi.rows[(1, 1, 1)] == {
+    assert m_to_power_row((2, 1), "Phi") == {(2, 1): 1, (3,): Fraction(-1, 2)}
+    assert m_to_power_row((1, 2), "Phi") == {(1, 2): 1, (3,): Fraction(-1, 2)}
+    assert m_to_power_row((1, 1, 1), "Phi") == {
         (1, 1, 1): Fraction(1, 6),
         (2, 1): Fraction(-1, 2),
         (1, 2): Fraction(-1, 2),
@@ -262,28 +314,32 @@ def test_transition_rows_degree_three():
 
 def test_transition_degree_zero_and_bad_variant():
     for variant in ("Psi", "Phi"):
-        t = build_transition(0, variant)
-        assert t.rows == {(): {(): 1}}
-        assert t.inverse_rows == {(): {(): 1}}
+        assert m_to_power_row((), variant) == {(): 1}
+        assert power_to_m_row((), variant) == {(): 1}
+        assert to_coords(QSym.unit("M"), variant) == QSym.unit(variant)
+        assert to_coords(QSym.unit(variant), "M") == QSym.unit("M")
     with pytest.raises(ValueError):
-        build_transition(2, "psi")
+        m_to_power_row((1, 1), "psi")
+    with pytest.raises(ValueError):
+        power_to_m_row((1, 1), "psi")
 
 
 @pytest.mark.parametrize("variant", ["Psi", "Phi"])
 @pytest.mark.parametrize("n", range(0, 6))
 def test_transition_structure(n, variant):
-    t = build_transition(n, variant)
-    for beta in t.order:
-        import math
-
-        assert t.entry(beta, beta) == Fraction(math.prod(beta), z_of(sort_composition(beta)))
-        for alpha in t.order:
-            entry = t.entry(beta, alpha)
+    order = enumerate_compositions(n)
+    position = {alpha: i for i, alpha in enumerate(order)}
+    for beta in order:
+        row = m_to_power_row(beta, variant)
+        assert set(row) <= set(order)
+        assert row[beta] == Fraction(math.prod(beta), z_of(sort_composition(beta)))
+        for alpha in order:
+            entry = row.get(alpha, 0)
             if not refines(beta, alpha):
                 assert entry == 0
             if entry and alpha != beta:
                 # strictly coarser indices come strictly earlier in the order
-                assert t.position[alpha] < t.position[beta]
+                assert position[alpha] < position[beta]
 
 
 def test_to_coords_examples():
