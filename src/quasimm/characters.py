@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from . import qsym
 from .combinatorics import (
     Partition,
     as_composition,
@@ -125,8 +126,6 @@ def frobenius(theta: CoefficientTable):
 
     Returns the image in M coordinates.  theta must be keyed by cycle type.
     """
-    from . import qsym  # deferred: qsym imports this module at load time
-
     if theta.key != "ctype":
         raise ValueError("frobenius needs a table keyed by cycle type")
 
@@ -143,8 +142,6 @@ def epsilon_coeff(lam, mu) -> Fraction:
     Defined so that e_lam is the frobenius image of this class function:
     the value at mu is z_mu times the p_mu coefficient of e_lam.
     """
-    from . import qsym
-
     return _p_weight(qsym.elementary_sym, lam, mu)
 
 
@@ -153,14 +150,10 @@ def phi_coeff(lam, mu) -> Fraction:
 
     The value at mu is z_mu times the p_mu coefficient of m_lam.
     """
-    from . import qsym
-
     return _p_weight(qsym.monomial_sym, lam, mu)
 
 
 def _p_weight(build, lam, mu) -> Fraction:
-    from . import qsym
-
     lam = as_partition(lam)
     mu = as_partition(mu)
     if sum(lam) != sum(mu):

@@ -192,20 +192,15 @@ def enumerate_compositions(n: int) -> list[Composition]:
         raise ValueError("order must be nonnegative")
     if n == 0:
         return [()]
-    comps = []
-    for mask in range(1 << (n - 1)):
-        parts = []
-        run = 1
-        for i in range(n - 1):
-            if (mask >> i) & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        comps.append(tuple(parts))
+    comps = [mask_composition(n, mask) for mask in range(1 << (n - 1))]
     comps.sort(key=dominance_key, reverse=True)
     return comps
+
+
+def mask_composition(n: int, mask: int) -> Composition:
+    """The composition of n whose descent set is {i : bit i-1 of mask is set}."""
+    cuts = [i for i in range(1, n) if mask >> (i - 1) & 1]
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n])) if n else ()
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

@@ -56,7 +56,9 @@ class SquareMatrix:
             for entry in row:
                 if isinstance(entry, float):
                     raise ValueError("floating-point entries are not accepted")
-                if isinstance(entry, str) and not _ENTRY_TEXT.fullmatch(entry.strip()):
+                if isinstance(entry, bool) or (
+                    isinstance(entry, str) and not _ENTRY_TEXT.fullmatch(entry.strip())
+                ):
                     raise ValueError(f"matrix entry {entry!r} is not an integer or a/b")
                 out.append(Fraction(entry))
             converted.append(tuple(out))

@@ -1,10 +1,11 @@
 """Quasisymmetric functions with exact rational coefficients.
 
 The monomial basis M_alpha is the working representation.  Classical
-symmetric bases (m, p, e, h, s) are embedded through the quasi-shuffle
-product, quasi-Schur elements come from composition tableau counts, and
-the two power-sum coordinate systems (Psi and Phi) are reached term by
-term through closed-form rows against M.
+symmetric bases (m, p, e, h) are embedded through the quasi-shuffle
+product, Schur and quasi-Schur elements come from standard tableaux via
+fundamental quasisymmetric functions, and the two power-sum coordinate
+systems (Psi and Phi) are reached term by term through closed-form rows
+against M.
 """
 
 from __future__ import annotations
@@ -15,17 +16,15 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
 
-from .characters import irreducible_character
 from .combinatorics import (
     as_composition,
     as_partition,
     dominance_key,
     enumerate_compositions,
-    enumerate_partitions,
     format_parts,
+    mask_composition,
     sort_composition,
     weighted_coarsenings,
-    z_of,
     z_of_composition,
 )
 
@@ -230,30 +229,47 @@ def _homogeneous_sym(lam) -> QSym:
 
 
 def schur_sym(lam) -> QSym:
-    """s_lam from character values, class by class: sum of chi(mu)/z_mu p_mu."""
-    return _schur_sym(as_partition(lam))
+    """s_lam as the sum of F_Des(T) over the standard Young tableaux T of shape lam.
+
+    Values 1..n fill the diagram corner by corner; i is a descent when i+1
+    lies in a strictly lower row (Gessel's fundamental expansion).
+    """
+    lam = as_partition(lam)
+    counts = _descent_counts(
+        lam,
+        range(1, sum(lam) + 1),
+        lambda grid, j, k, v: j == 0 or grid[j - 1][k] > 0,
+        lambda cell, after: after[0] > cell[0],
+    )
+    return _from_fundamentals(sum(lam), counts)
 
 
-@cache
-def _schur_sym(lam) -> QSym:
-    n = sum(lam)
-    out = QSym.zero("M")
-    for mu in enumerate_partitions(n):
-        chi = irreducible_character(lam, mu)
-        if chi:
-            out = out + power_sym(mu) * Fraction(chi, z_of(mu))
-    return out
+def _admissible(rows, alpha, j, k, v) -> bool:
+    """Whether v may sit in cell (j, k) of a composition tableau, given the cells filled so far.
+
+    rows holds 0 in empty cells.  Rows weakly decrease left to right, the
+    first column strictly increases top to bottom, and on the rectangle
+    obtained by zero-padding every row to the maximum part m, any cells
+    (i,k) above (j,k) with 2 <= k must satisfy: a nonzero entry at (j,k)
+    that is >= the entry at (i,k) must exceed the entry at (i,k-1).
+    """
+    if k == 0:
+        return j == 0 or v > rows[j - 1][0]
+    if v > rows[j][k - 1]:
+        return False
+    for i in range(j):
+        right = rows[i][k] if k < alpha[i] else 0
+        left = rows[i][k - 1] if k - 1 < alpha[i] else 0
+        if right <= v <= left:
+            return False
+    return True
 
 
 def count_composition_tableaux(alpha, beta) -> int:
     """Number of fillings of the diagram of alpha with content beta.
 
-    A filling places value v in beta_v cells so that rows weakly decrease
-    left to right and the first column strictly increases top to bottom.
-    On the rectangle obtained by zero-padding every row to the maximum
-    part m, any cells (i,k) above (j,k) with 2 <= k must satisfy: a
-    nonzero entry at (j,k) that is >= the entry at (i,k) must exceed the
-    entry at (i,k-1).
+    A filling places value v in beta_v cells, cell by cell in reading order,
+    where each cell takes any value that _admissible allows.
     """
     alpha = as_composition(alpha)
     beta = as_composition(beta)
@@ -266,27 +282,13 @@ def count_composition_tableaux(alpha, beta) -> int:
     rows = [[0] * width for width in alpha]
     cells = [(j, k) for j, width in enumerate(alpha) for k in range(width)]
 
-    def padded(i, k):
-        return rows[i][k] if k < alpha[i] else 0
-
-    def admissible(j, k, v):
-        if k > 0 and v > rows[j][k - 1]:
-            return False
-        if k == 0 and j > 0 and v <= rows[j - 1][0]:
-            return False
-        if k > 0:
-            for i in range(j):
-                if v >= padded(i, k) and v <= padded(i, k - 1):
-                    return False
-        return True
-
     def fill(pos):
         if pos == len(cells):
             return 1
         j, k = cells[pos]
         total = 0
         for v in range(1, values + 1):
-            if remaining[v] and admissible(j, k, v):
+            if remaining[v] and _admissible(rows, alpha, j, k, v):
                 remaining[v] -= 1
                 rows[j][k] = v
                 total += fill(pos + 1)
@@ -298,19 +300,66 @@ def count_composition_tableaux(alpha, beta) -> int:
 
 
 def quasischur(alpha) -> QSym:
-    """Quasi-Schur element of shape alpha: sum of tableau counts times M_beta."""
-    return _quasischur(as_composition(alpha))
+    """Quasi-Schur element of shape alpha: sum of F_Des(T) over its standard composition tableaux.
+
+    Values n..1 fill the diagram; a row starts only after the row below it,
+    as the first column increases downwards.  An empty cell then holds a
+    smaller value, so the _admissible rule applies as it stands; i is a
+    descent when i+1 lies in a column weakly right of i's.
+    """
+    alpha = as_composition(alpha)
+    counts = _descent_counts(
+        alpha,
+        range(sum(alpha), 0, -1),
+        lambda grid, j, k, v: (k > 0 or j + 1 == len(alpha) or grid[j + 1][0] > 0)
+        and _admissible(grid, alpha, j, k, v),
+        lambda cell, after: after[1] >= cell[1],
+    )
+    return _from_fundamentals(sum(alpha), counts)
 
 
-@cache
-def _quasischur(alpha) -> QSym:
-    n = sum(alpha)
-    terms = {}
-    for beta in enumerate_compositions(n):
-        k = count_composition_tableaux(alpha, beta)
-        if k:
-            terms[beta] = k
-    return QSym("M", terms)
+def _descent_counts(shape, values, fits, descent) -> Counter:
+    """Histogram of descent masks over the standard fillings of shape.
+
+    Values are placed in the given order, each in the first empty cell of a
+    row where fits(grid, row, column, value) holds (grid holds 0 in empty
+    cells); bit i-1 of a mask is set when descent(cell of i, cell of i+1).
+    """
+    n = len(values)
+    grid = [[0] * width for width in shape]
+    filled = [0] * len(shape)
+    at = [None] * (n + 1)  # at[v]: the (row, column) holding v
+    counts: Counter = Counter()
+
+    def grow(step):
+        if step == n:
+            counts[sum(1 << (i - 1) for i in range(1, n) if descent(at[i], at[i + 1]))] += 1
+            return
+        v = values[step]
+        for j, width in enumerate(shape):
+            k = filled[j]
+            if k < width and fits(grid, j, k, v):
+                grid[j][k], filled[j], at[v] = v, k + 1, (j, k)
+                grow(step + 1)
+                grid[j][k], filled[j] = 0, k
+
+    grow(0)
+    return counts
+
+
+def _from_fundamentals(n, counts) -> QSym:
+    """M coordinates of the sum of counts[mask] F_mask over descent masks of degree n.
+
+    F_D is the sum of M_beta over every beta whose descent set contains D, so
+    adding each mask's total into its supersets, one bit at a time, gives M.
+    """
+    coeffs = [counts.get(mask, 0) for mask in range(1 << max(n - 1, 0))]
+    for bit in range(n - 1):
+        step = 1 << bit
+        for mask in range(len(coeffs)):
+            if mask & step:
+                coeffs[mask] += coeffs[mask ^ step]
+    return QSym("M", {mask_composition(n, mask): c for mask, c in enumerate(coeffs) if c})
 
 
 # Closed-form rows (Ballantine, Daugherty, Hicks, Mason and Niese, "On
@@ -319,10 +368,10 @@ def _quasischur(alpha) -> QSym:
 # blocks' factors, then divided by z of the coarsening (M to power sums) or
 # multiplied by z of the row's own index (power sums to M).  The products are
 # the signed lp(beta,alpha) and prod(alpha)/ell(beta,alpha), and 1/pi(alpha,beta)
-# and 1/sp(alpha,beta).
+# and 1/sp(alpha,beta).  The Phi factor is taken times unit = lcm(1..n).
 _TO_POWER = {
-    "Psi": lambda b: -b[-1] if len(b) % 2 == 0 else b[-1],
-    "Phi": lambda b: Fraction(-sum(b) if len(b) % 2 == 0 else sum(b), len(b)),
+    "Psi": lambda b, unit: -b[-1] if len(b) % 2 == 0 else b[-1],
+    "Phi": lambda b, unit: sum(b) * unit // len(b) * (-1 if len(b) % 2 == 0 else 1),
 }
 _TO_M = {
     "Psi": lambda b: Fraction(1, math.prod(itertools.accumulate(b))),
@@ -368,13 +417,14 @@ def to_coords(q: QSym, target: str) -> QSym:
         q = QSym("M", _merge_blocks(terms, _TO_M[q.basis]))
         if target == "M":
             return q
-    # Scaled to integer coefficients, the Psi sums stay in integer arithmetic.
+    # Scaled to integer coefficients, the sums stay in integer arithmetic; a
+    # coarsening alpha has len(alpha) blocks, so it carries unit^len(alpha).
     scale = math.lcm(*(c.denominator for c in q.coeffs.values()))
+    unit = math.lcm(*range(1, max(map(sum, q.coeffs), default=0) + 1)) if target == "Phi" else 1
     terms = ((beta, c.numerator * (scale // c.denominator)) for beta, c in q.coeffs.items())
-    sums = _merge_blocks(terms, _TO_POWER[target])
-    return QSym(
-        target, {alpha: Fraction(s, scale * z_of_composition(alpha)) for alpha, s in sums.items()}
-    )
+    sums = _merge_blocks(terms, lambda b: _TO_POWER[target](b, unit))
+    out = {a: Fraction(s, scale * z_of_composition(a) * unit ** len(a)) for a, s in sums.items()}
+    return QSym(target, out)
 
 
 def _merge_blocks(terms, factor) -> dict:

@@ -156,6 +156,11 @@ def test_input_errors_exit_one(tmp_path):
     result = run_cli("det", str(array))
     assert result.returncode == 1
     assert "matrix JSON must be an object with an 'entries' key" in result.stderr
+    booleans = tmp_path / "booleans.json"
+    booleans.write_text(json.dumps({"entries": [[True, False], [False, True]]}))
+    result = run_cli("det", str(booleans))
+    assert result.returncode == 1
+    assert "matrix entry True is not an integer or a/b" in result.stderr
 
 
 def test_matrix_text_rule(tmp_path):

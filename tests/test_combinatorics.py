@@ -21,6 +21,7 @@ from quasimm.combinatorics import (
     enumerate_permutations,
     format_parts,
     lp_stat,
+    mask_composition,
     parse_parts,
     refines,
     sort_composition,
@@ -54,6 +55,15 @@ def test_descent_set():
     assert descent_set((2, 4, 1)) == {2, 6}
     assert descent_set((3,)) == set()
     assert descent_set(()) == set()
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_mask_composition_has_the_mask_as_descent_set(n):
+    assert mask_composition(4, 0b101) == (1, 2, 1)
+    for mask in range(1 << max(n - 1, 0)):
+        alpha = mask_composition(n, mask)
+        assert sum(alpha) == n
+        assert descent_set(alpha) == {i for i in range(1, n) if mask >> (i - 1) & 1}
 
 
 def test_refines():

@@ -107,6 +107,10 @@ def test_matrix_json_round_trip():
         matrix_from_json_dict({"n": "3", "entries": payload["entries"]})
     with pytest.raises(ValueError, match="'n' must be an integer"):
         matrix_from_json_dict({"n": True, "entries": [["1"]]})
+    with pytest.raises(ValueError, match="matrix entry True is not an integer or a/b"):
+        matrix_from_json_dict({"entries": [[True, False], [False, True]]})
+    with pytest.raises(ValueError, match="matrix entry False"):
+        SquareMatrix([[False]])
 
 
 def test_load_matrix_json_and_csv(tmp_path):

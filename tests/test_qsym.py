@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasimm.characters import irreducible_character
+from quasimm import qsym
+from quasimm.characters import character_class_function, frobenius, irreducible_character
 from quasimm.combinatorics import (
     dominance_order,
     ell_stat,
@@ -233,6 +234,40 @@ def test_quasischur_rearrangements_sum_to_schur(n):
         for alpha in set(itertools.permutations(lam)):
             total = total + quasischur(alpha)
         assert total == schur_sym(lam)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_quasischur_matches_tableau_counts(n):
+    compositions = enumerate_compositions(n)
+    for alpha in compositions:
+        counts = {beta: count_composition_tableaux(alpha, beta) for beta in compositions}
+        assert quasischur(alpha) == QSym("M", counts)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_schur_matches_character_route(n):
+    for lam in enumerate_partitions(n):
+        assert schur_sym(lam) == frobenius(character_class_function(lam))
+
+
+def test_quasischur_builds_without_content_counts(monkeypatch):
+    shape, ones = (3, 1, 5), (1,) * 9  # used by no other test
+    standard = count_composition_tableaux(shape, ones)
+
+    def forbidden(alpha, beta):
+        raise AssertionError("quasischur counted fillings content by content")
+
+    monkeypatch.setattr(qsym, "count_composition_tableaux", forbidden)
+    element = quasischur(shape)
+    assert element.coefficient(shape) == 1
+    assert element.coefficient(ones) == standard == 28
+
+
+def test_elements_at_degrees_beyond_whole_degree_builds():
+    # 2^15 contents at degree 16: only a build from standard tableaux is quick here.
+    assert quasischur((2,) + (1,) * 14) == M(2, *(1,) * 14) + M(*(1,) * 16)
+    ones = (1,) * 12
+    assert schur_sym((10, 2)).coefficient(ones) == irreducible_character((10, 2), ones)
 
 
 def _oracle_transition(n, variant):
