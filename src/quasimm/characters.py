@@ -10,7 +10,6 @@ families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -77,20 +76,35 @@ def _strip_recursion(lam: Partition, mu: Partition) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class CoefficientTable:
     """Per-class weights for a permutation sum.
 
     key is "ctype" (weights indexed by cycle type, defined on every
     partition of the degree) or "ccomp" (indexed by cycle composition,
     defined on every composition of the degree).  provenance names the
-    construction that produced the weights.
+    construction that produced the weights.  Tables compare by their
+    fields, and their attributes are read-only.
     """
 
-    degree: int
-    key: str
-    values: dict
-    provenance: str = ""
+    __slots__ = ("degree", "key", "values", "provenance")
+
+    def __init__(self, degree: int, key: str, values: dict, provenance: str = ""):
+        for name, value in zip(self.__slots__, (degree, key, values, provenance)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CoefficientTable is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, CoefficientTable):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CoefficientTable({fields})"
 
     def __call__(self, index) -> Fraction:
         return self.values[as_partition(index) if self.key == "ctype" else as_composition(index)]

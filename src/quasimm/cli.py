@@ -2,18 +2,18 @@
 
 Exit codes: 0 on success (and all checks passing for verify), 1 for I/O
 or verification failures, 2 for usage and validation errors.  Rational
-results print as p/q in lowest terms, integers without the /1.
+results print as p/q in lowest terms, integers without the /1.  Each
+command imports the engine and verification modules only if it uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
 
-from . import engine, qsym, verification
+from . import qsym
 from .combinatorics import as_partition, parse_parts
 
 
@@ -60,7 +60,9 @@ def _build_element(basis: str, index_text: str) -> qsym.QSym:
     return _BASIS_BUILDERS[basis](index)
 
 
-def _load_matrix(path: str) -> engine.SquareMatrix:
+def _load_matrix(path: str):
+    from . import engine
+
     try:
         return engine.load_matrix(path)
     except OSError as exc:
@@ -70,6 +72,8 @@ def _load_matrix(path: str) -> engine.SquareMatrix:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    import json
+
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -90,6 +94,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_qimm(args) -> int:
+    from . import engine
+
     element = _build_element(args.basis, args.index)
     matrix = _load_matrix(args.matrix)
     degree = element.degree()
@@ -100,6 +106,8 @@ def cmd_qimm(args) -> int:
 
 
 def cmd_imm(args) -> int:
+    from . import engine
+
     index = _parse_index(args.index)
     try:
         lam = as_partition(index)
@@ -111,22 +119,19 @@ def cmd_imm(args) -> int:
     return _emit_scalar(engine.immanant(matrix, lam), args)
 
 
-def cmd_d2(args) -> int:
+def cmd_matrix(args) -> int:
+    """d2, det and perm: one engine function of the matrix alone."""
+    from . import engine
+
     matrix = _load_matrix(args.matrix)
-    if matrix.n < 2:
+    if args.function == "second_immanant" and matrix.n < 2:
         raise UsageError("the second immanant needs dimension at least 2")
-    return _emit_scalar(engine.second_immanant(matrix), args)
-
-
-def cmd_det(args) -> int:
-    return _emit_scalar(engine.determinant(_load_matrix(args.matrix)), args)
-
-
-def cmd_perm(args) -> int:
-    return _emit_scalar(engine.permanent(_load_matrix(args.matrix)), args)
+    return _emit_scalar(getattr(engine, args.function)(matrix), args)
 
 
 def cmd_verify(args) -> int:
+    from . import verification
+
     hook_max = args.max_n if args.max_n is not None else 6
     toeplitz_max = args.max_n if args.max_n is not None else 8
     if args.scope == "examples":
@@ -148,6 +153,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
+    import json
+
+    from . import verification
+
     if args.n < 1:
         raise UsageError("dimension must be at least 1")
     payload = verification.toeplitz_tridiagonal(args.n).to_json_dict()
@@ -191,17 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.set_defaults(func=cmd_imm)
 
-    p = sub.add_parser("d2", parents=[common], help="second immanant")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_d2)
-
-    p = sub.add_parser("det", parents=[common], help="determinant")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_det)
-
-    p = sub.add_parser("perm", parents=[common], help="permanent")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_perm)
+    for name, function in (("d2", "second_immanant"), ("det", "determinant"), ("perm", "permanent")):
+        p = sub.add_parser(name, parents=[common], help=function.replace("_", " "))
+        p.add_argument("matrix")
+        p.set_defaults(func=cmd_matrix, function=function)
 
     p = sub.add_parser("verify", parents=[common], help="run self-checks and report")
     p.add_argument("scope", choices=("examples", "theorem4", "toeplitz", "all"))

@@ -1,13 +1,14 @@
 """Exact evaluation of weighted permutation sums over square rational matrices.
 
-Every matrix function here is one weighted_perm_sum: a sum over
-permutations of a per-class weight times the diagonal product picked out
-by the permutation.  The weights are a named CoefficientTable keyed by
-cycle type or by cycle composition: a character for the permanent,
+Every matrix function here is one weighted_perm_sum: the matrix's class
+sums, one exact sum of diagonal products per cycle composition, contracted
+with a per-class weight vector.  The weights are a named CoefficientTable
+keyed by cycle type or by cycle composition: a character for the permanent,
 determinant and immanants, the hook rule for the fast hook path, and
 otherwise the table read from a quasisymmetric element, kept in one
-bounded LRU cache.  The permutation sum streams with constant-time
-lookups, skipping any branch whose partial product is already zero.
+bounded LRU cache.  class_sums walks permutations cycle by cycle in
+integers, following only nonzero entries, so a sparse matrix never
+touches most of the n! terms.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 from .characters import (
@@ -30,8 +31,6 @@ from .characters import (
 from .combinatorics import (
     as_composition,
     count_perms_with_ctype,
-    cycle_composition,
-    cycle_type,
     enumerate_compositions,
     enumerate_partitions,
     sort_composition,
@@ -117,36 +116,59 @@ def load_matrix(path) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
+def class_sums(a: SquareMatrix) -> tuple[dict, int]:
+    """Sums of a[1,sigma(1)] * ... * a[n,sigma(n)] by cycle composition alpha of sigma.
+
+    Returns ({alpha: integer sum}, scale): each row is scaled to integers by
+    the lcm of its denominators, so a class sum is its integer over scale.
+    The walk goes cycle by cycle, each new cycle opening at the least index
+    not yet covered (the min-first order of combinatorics.cycles), so alpha
+    grows as it goes, and it follows only nonzero entries.
+    """
+    n = a.n
+    scale = 1
+    dense, nonzero = [], []
+    for row in a.rows:
+        lcm = math.lcm(*(e.denominator for e in row))
+        scale *= lcm
+        ints = [int(e * lcm) for e in row]
+        dense.append(ints)
+        nonzero.append([(1 << j, j, v) for j, v in enumerate(ints) if v])
+    full = (1 << n) - 1
+    sums = {}
+    # Open walks: (row i choosing sigma(i), start of the open cycle, indices
+    # covered so far, length of the open cycle, closed cycle lengths, product).
+    stack = [(0, 0, 1, 1, (), 1)]
+    while stack:
+        i, start, covered, length, alpha, prod = stack.pop()
+        if covered == full:  # the last index left must close the cycle
+            v = dense[i][start]
+            if v:
+                alpha += (length,)
+                sums[alpha] = sums.get(alpha, 0) + prod * v
+            continue
+        for bit, j, v in nonzero[i]:
+            if j == start:
+                low = ~covered & (covered + 1)
+                nxt = low.bit_length() - 1
+                stack.append((nxt, nxt, covered | low, 1, alpha + (length,), prod * v))
+            elif not covered & bit:
+                stack.append((j, start, covered | bit, length + 1, alpha, prod * v))
+    return sums, scale
+
+
 def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
     """Sum over permutations of table weight times the product of picked entries.
 
-    Depth-first over rows, descending into a column only when the entry
-    is nonzero, so sparse matrices never touch most of the n! terms.
+    The contraction of class_sums(a) with the table: a ccomp table reads
+    each cycle composition, a ctype table its sorted parts.
     """
-    n = a.n
-    if table.degree != n:
-        raise ValueError(f"table degree {table.degree} does not match matrix dimension {n}")
-    key_fn = cycle_type if table.key == "ctype" else cycle_composition
-    values = table.values
-    rows = a.rows
-    images = [0] * n
-    total = Fraction(0)
-
-    def descend(i, used, prod):
-        nonlocal total
-        if i == n:
-            weight = values[key_fn(images)]
-            if weight:
-                total += weight * prod
-            return
-        row = rows[i]
-        for j in range(n):
-            if not (used >> j) & 1 and row[j]:
-                images[i] = j + 1
-                descend(i + 1, used | (1 << j), prod * row[j])
-
-    descend(0, 0, Fraction(1))
-    return total
+    if table.degree != a.n:
+        raise ValueError(f"table degree {table.degree} does not match matrix dimension {a.n}")
+    sums, scale = class_sums(a)
+    values, ctype = table.values, table.key == "ctype"
+    total = sum(values[sort_composition(alpha) if ctype else alpha] * s for alpha, s in sums.items())
+    return Fraction(total) / scale
 
 
 def permanent(a: SquareMatrix) -> Fraction:
@@ -294,20 +316,14 @@ def hook_qimm_coefficient(alpha) -> int:
     return -count if flips % 2 else count
 
 
-@cache
-def _hook_table(n: int) -> CoefficientTable:
-    values = {
-        alpha: Fraction(hook_qimm_coefficient(alpha)) for alpha in enumerate_compositions(n)
-    }
-    return CoefficientTable(n, "ccomp", values, provenance=f"hook rule degree {n}")
-
-
 def qimm_hook_fast(a: SquareMatrix) -> Fraction:
     """Quasi-immanant of the hook quasi-Schur element by the direct per-class rule.
 
     Bypasses coordinate conversion entirely; must agree with
     qimm(a, quasischur((2,1,...,1)), "Psi").
     """
-    if a.n < 3:
+    n = a.n
+    if n < 3:
         raise ValueError("hook evaluation needs dimension at least 3")
-    return weighted_perm_sum(a, _hook_table(a.n))
+    values = {alpha: Fraction(hook_qimm_coefficient(alpha)) for alpha in enumerate_compositions(n)}
+    return weighted_perm_sum(a, CoefficientTable(n, "ccomp", values, f"hook rule degree {n}"))

@@ -151,6 +151,48 @@ def test_composition_keyed_tables():
         frobenius(table)
 
 
+def test_table_constructor_positional_and_keyword():
+    values = {(1,): Fraction(3)}
+    positional = CoefficientTable(1, "ctype", values)
+    keyword = CoefficientTable(degree=1, key="ctype", values=values)
+    for table in (positional, keyword):
+        assert (table.degree, table.key, table.values, table.provenance) == (1, "ctype", values, "")
+    named = CoefficientTable(1, "ctype", values, provenance="three")
+    assert named.provenance == "three"
+    assert CoefficientTable(1, "ctype", values, "three") == named
+    with pytest.raises(TypeError):
+        CoefficientTable(1, "ctype")
+
+
+def test_table_equality_is_by_fields():
+    table = CoefficientTable(2, "ctype", {(2,): Fraction(-1), (1, 1): Fraction(1)}, "sign")
+    assert table == CoefficientTable(2, "ctype", {(1, 1): 1, (2,): -1}, "sign")
+    assert table == sign_character(2)
+    assert table != CoefficientTable(2, "ctype", {(2,): Fraction(-1), (1, 1): Fraction(1)})
+    assert table != CoefficientTable(2, "ccomp", table.values, "sign")
+    assert table != CoefficientTable(3, "ctype", table.values, "sign")
+    assert table != CoefficientTable(2, "ctype", {(2,): 1, (1, 1): 1}, "sign")
+    assert table != (2, "ctype", table.values, "sign")
+
+
+def test_table_attributes_are_read_only():
+    table = trivial_character(3)
+    for name in ("degree", "key", "values", "provenance", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, None)
+    with pytest.raises(AttributeError):
+        del table.values
+    assert table == trivial_character(3)
+
+
+def test_table_repr_names_every_field():
+    table = CoefficientTable(1, "ccomp", {(1,): Fraction(2)}, "two")
+    assert repr(table) == (
+        "CoefficientTable(degree=1, key='ccomp', values={(1,): Fraction(2, 1)}, provenance='two')"
+    )
+    assert repr(CoefficientTable(1, "ctype", {})).endswith("provenance='')")
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_frobenius_of_characters(n):
     for lam in enumerate_partitions(n):

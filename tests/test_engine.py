@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from quasimm.combinatorics import (
 from quasimm.engine import (
     CoefficientTable,
     SquareMatrix,
+    class_sums,
     determinant,
     determinant_elimination,
     elementary_immanant,
@@ -177,6 +179,58 @@ def test_pruned_sum_matches_unpruned_on_sparse_matrices(n):
         assert zeros * 2 >= n * n
         for table in (ones, sign, comp):
             assert weighted_perm_sum(a, table) == _unpruned_sum(a, table)
+
+
+def _rational_matrix(rng, n):
+    return SquareMatrix(
+        [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def _oracle_matrices(rng, n):
+    """Dense rational (mixed denominators), sparse, a zero row and a zero column."""
+    dense = _rational_matrix(rng, n)
+    zero_row = [list(row) for row in _rational_matrix(rng, n).rows]
+    zero_row[rng.randrange(n)] = [0] * n
+    zero_column = [list(row) for row in _rational_matrix(rng, n).rows]
+    j = rng.randrange(n)
+    for row in zero_column:
+        row[j] = 0
+    return dense, _sparse_matrix(rng, n), SquareMatrix(zero_row), SquareMatrix(zero_column)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_sum_contraction_matches_unpruned_sum(n):
+    # Distinct random weights on the compositions: a walk that recorded the
+    # cycles of a permutation in any order but the min-first one would read
+    # the wrong weight, which a weight depending only on len(alpha) cannot see.
+    rng = random.Random(4100 + n)
+    compositions = enumerate_compositions(n)
+    weights = rng.sample(range(-10 * len(compositions), 10 * len(compositions)), len(compositions))
+    tables = (
+        CoefficientTable(n, "ccomp", {alpha: Fraction(w, 3) for alpha, w in zip(compositions, weights)}),
+        CoefficientTable(n, "ctype", {mu: Fraction(1) for mu in enumerate_partitions(n)}),
+        CoefficientTable(n, "ctype", {mu: Fraction((-1) ** (n - len(mu))) for mu in enumerate_partitions(n)}),
+    )
+    if n == 7:  # 5040 permutations per oracle sum: the distinct weights alone
+        tables = tables[:1]
+    for a in _oracle_matrices(rng, n):
+        for table in tables:
+            assert weighted_perm_sum(a, table) == _unpruned_sum(a, table)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_sums_of_all_ones_count_each_class(n):
+    counts = Counter(cycle_composition(sigma) for sigma in enumerate_permutations(n))
+    assert class_sums(SquareMatrix([[1] * n] * n)) == (dict(counts), 1)
+
+
+def test_class_sums_scale_rows_to_integers():
+    a = SquareMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), 0]])
+    sums, scale = class_sums(a)
+    assert scale == 6 * 4
+    assert {alpha: Fraction(s, scale) for alpha, s in sums.items()} == {(2,): Fraction(1, 4)}
+    assert class_sums(SquareMatrix([[0, 0], [0, 0]])) == ({}, 1)
 
 
 def test_permanent_and_determinant_values():

@@ -1,0 +1,73 @@
+"""What a command loads: the package root resolves its names lazily, and the
+CLI imports the engine and verification modules only where it uses them."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quasimm
+
+SRC = str(Path(quasimm.__file__).parent.parent)
+
+# Runs `python -m quasimm ARGS` in-process, then prints the modules it loaded.
+_PROBE = """
+import json, runpy, sys
+sys.argv = ["quasimm"] + sys.argv[1:]
+code = None
+try:
+    runpy.run_module("quasimm", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _loaded(*args, cwd=None):
+    # -S keeps site hooks out, so every module listed was loaded by the command.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, *args],
+        capture_output=True, text=True, cwd=cwd, env=env, check=True,
+    )
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return proc.stdout.splitlines()[0], set(modules)
+
+
+def test_expand_loads_only_the_element_modules():
+    output, modules = _loaded("expand", "m", "1")
+    assert output == "M[1]"
+    assert {m for m in modules if m.startswith("quasimm")} == {
+        "quasimm", "quasimm.cli", "quasimm.qsym", "quasimm.combinatorics"
+    }
+    assert "dataclasses" not in modules and "quasimm.engine" not in modules
+
+
+def test_qimm_loads_neither_verification_nor_dataclasses(tmp_path):
+    (tmp_path / "m.csv").write_text("1,2\n3,4\n")
+    output, modules = _loaded("qimm", "m.csv", "qs", "2", cwd=tmp_path)
+    assert output == "10"
+    assert "quasimm.engine" in modules
+    assert "quasimm.verification" not in modules and "dataclasses" not in modules
+
+
+def test_public_names_resolve_to_their_modules():
+    assert len(set(quasimm.__all__)) == len(quasimm.__all__)
+    for name in quasimm.__all__:
+        value = getattr(quasimm, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert quasimm.CoefficientTable is quasimm.engine.CoefficientTable
+    assert set(quasimm.__all__) <= set(dir(quasimm))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quasimm.no_such_name
+    assert not hasattr(quasimm, "descend")
+    with pytest.raises(ImportError):
+        from quasimm import no_such_name  # noqa: F401
