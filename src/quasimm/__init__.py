@@ -42,7 +42,7 @@ _EXPORTS = {
     "verification": (
         "Report", "ReportItem", "c_sigma", "render_table", "toeplitz_d2_closed_form",
         "toeplitz_qimm_closed_form", "toeplitz_tridiagonal", "verify_all", "verify_hook_rule",
-        "verify_toeplitz", "verify_worked_examples",
+        "verify_hook_rules", "verify_toeplitz", "verify_worked_examples",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

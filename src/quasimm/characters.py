@@ -89,6 +89,8 @@ class CoefficientTable:
     __slots__ = ("degree", "key", "values", "provenance")
 
     def __init__(self, degree: int, key: str, values: dict, provenance: str = ""):
+        if key not in ("ctype", "ccomp"):
+            raise ValueError(f"unknown table key {key!r}; expected 'ctype' or 'ccomp'")
         for name, value in zip(self.__slots__, (degree, key, values, provenance)):
             object.__setattr__(self, name, value)
 

@@ -132,18 +132,14 @@ def cmd_matrix(args) -> int:
 def cmd_verify(args) -> int:
     from . import verification
 
-    hook_max = args.max_n if args.max_n is not None else 6
-    toeplitz_max = args.max_n if args.max_n is not None else 8
-    if args.scope == "examples":
-        report = verification.verify_worked_examples(toeplitz_max)
-    elif args.scope == "theorem4":
-        report = verification.Report()
-        for n in range(3, hook_max + 1):
-            report = report.merge(verification.verify_hook_rule(n))
-    elif args.scope == "toeplitz":
-        report = verification.verify_toeplitz(toeplitz_max)
-    else:
-        report = verification.verify_all(hook_max, toeplitz_max)
+    hook_max, toeplitz_max = (6, 8) if args.max_n is None else (args.max_n, args.max_n)
+    builders = {
+        "examples": lambda: verification.verify_worked_examples(toeplitz_max),
+        "theorem4": lambda: verification.verify_hook_rules(hook_max),
+        "toeplitz": lambda: verification.verify_toeplitz(toeplitz_max),
+        "all": lambda: verification.verify_all(hook_max, toeplitz_max),
+    }
+    report = builders[args.scope]()
     if not report.items:
         raise UsageError(f"verify {args.scope} runs no checks with --max-n {args.max_n}")
     print(verification.render_table(report))
@@ -169,13 +165,6 @@ def cmd_toeplitz(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="also write the result as JSON to PATH")
-    common.add_argument("--max-n", dest="max_n", type=int, help="bound for verification sweeps")
-    common.add_argument(
-        "--variant",
-        choices=("psi", "phi"),
-        default="psi",
-        help="power-sum coordinate system for quasi-immanants",
-    )
 
     parser = argparse.ArgumentParser(
         prog="quasimm",
@@ -193,6 +182,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="path to a JSON or CSV matrix")
     p.add_argument("basis", choices=tuple(_BASIS_BUILDERS))
     p.add_argument("index")
+    p.add_argument(
+        "--variant",
+        choices=("psi", "phi"),
+        default="psi",
+        help="power-sum coordinate system for quasi-immanants",
+    )
     p.set_defaults(func=cmd_qimm)
 
     p = sub.add_parser("imm", parents=[common], help="immanant for a partition shape")
@@ -207,6 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run self-checks and report")
     p.add_argument("scope", choices=("examples", "theorem4", "toeplitz", "all"))
+    p.add_argument("--max-n", dest="max_n", type=int, help="bound for verification sweeps")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("toeplitz", parents=[common], help="emit the 0/1 tridiagonal matrix")

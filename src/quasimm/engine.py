@@ -116,6 +116,16 @@ def load_matrix(path) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
+def _integer_rows(a: SquareMatrix) -> tuple[list, int]:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    rows, scale = [], 1
+    for row in a.rows:
+        lcm = math.lcm(*(e.denominator for e in row))
+        scale *= lcm
+        rows.append([int(e * lcm) for e in row])
+    return rows, scale
+
+
 def class_sums(a: SquareMatrix) -> tuple[dict, int]:
     """Sums of a[1,sigma(1)] * ... * a[n,sigma(n)] by cycle composition alpha of sigma.
 
@@ -126,14 +136,8 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
     grows as it goes, and it follows only nonzero entries.
     """
     n = a.n
-    scale = 1
-    dense, nonzero = [], []
-    for row in a.rows:
-        lcm = math.lcm(*(e.denominator for e in row))
-        scale *= lcm
-        ints = [int(e * lcm) for e in row]
-        dense.append(ints)
-        nonzero.append([(1 << j, j, v) for j, v in enumerate(ints) if v])
+    dense, scale = _integer_rows(a)
+    nonzero = [[(1 << j, j, v) for j, v in enumerate(ints) if v] for ints in dense]
     full = (1 << n) - 1
     sums = {}
     # Open walks: (row i choosing sigma(i), start of the open cycle, indices
@@ -188,12 +192,7 @@ def determinant_elimination(a: SquareMatrix) -> Fraction:
     division exact.
     """
     n = a.n
-    scale = 1
-    m = []
-    for row in a.rows:
-        lcm = math.lcm(*(e.denominator for e in row))
-        scale *= lcm
-        m.append([int(e * lcm) for e in row])
+    m, scale = _integer_rows(a)
     flip = 1
     prev = 1
     for k in range(n - 1):

@@ -14,7 +14,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .combinatorics import (
     as_composition,
@@ -47,6 +47,8 @@ class QSym:
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         clean: dict = {}
         for alpha, c in items:
+            if isinstance(c, float):
+                raise ValueError("floating-point coefficients are not accepted")
             alpha = as_composition(alpha)
             clean[alpha] = clean.get(alpha, Fraction(0)) + Fraction(c)
         self.basis = basis
@@ -96,6 +98,8 @@ class QSym:
     def __mul__(self, other):
         if isinstance(other, QSym):
             return m_product(self, other)
+        if isinstance(other, float):
+            raise ValueError("floating-point scalars are not accepted")
         scalar = Fraction(other)
         return QSym(self.basis, {a: c * scalar for a, c in self.coeffs.items()})
 
@@ -133,25 +137,28 @@ class QSym:
         return format_element(self)
 
 
-@cache
-def _shuffle(alpha, beta) -> dict:
+def _shuffle(alpha, beta, memo: dict) -> dict:
     """Quasi-shuffle of two compositions: term composition -> multiplicity.
 
     Recursion on first parts: take a, take b, or merge both into a+b.
+    memo holds the sub-shuffles of one product and is dropped with it.
     """
     if not alpha:
         return {beta: 1}
     if not beta:
         return {alpha: 1}
+    if (alpha, beta) in memo:
+        return memo[alpha, beta]
     a, b = alpha[0], beta[0]
     out: Counter = Counter()
-    for gamma, m in _shuffle(alpha[1:], beta).items():
+    for gamma, m in _shuffle(alpha[1:], beta, memo).items():
         out[(a,) + gamma] += m
-    for gamma, m in _shuffle(alpha, beta[1:]).items():
+    for gamma, m in _shuffle(alpha, beta[1:], memo).items():
         out[(b,) + gamma] += m
-    for gamma, m in _shuffle(alpha[1:], beta[1:]).items():
+    for gamma, m in _shuffle(alpha[1:], beta[1:], memo).items():
         out[(a + b,) + gamma] += m
-    return dict(out)
+    memo[alpha, beta] = dict(out)
+    return memo[alpha, beta]
 
 
 def m_product(x: QSym, y: QSym) -> QSym:
@@ -159,10 +166,11 @@ def m_product(x: QSym, y: QSym) -> QSym:
     if x.basis != "M" or y.basis != "M":
         raise ValueError("m_product needs both factors in M coordinates")
     acc: defaultdict = defaultdict(Fraction)
+    memo: dict = {}
     for alpha, ca in x.coeffs.items():
         for beta, cb in y.coeffs.items():
             weight = ca * cb
-            for gamma, m in _shuffle(alpha, beta).items():
+            for gamma, m in _shuffle(alpha, beta, memo).items():
                 acc[gamma] += m * weight
     return QSym("M", acc)
 
@@ -172,7 +180,7 @@ def monomial_sym(lam) -> QSym:
     return _monomial_sym(as_partition(lam))
 
 
-@cache
+@lru_cache(maxsize=128)
 def _monomial_sym(lam) -> QSym:
     return QSym("M", dict.fromkeys(_rearrangements(lam), 1))
 
@@ -194,7 +202,7 @@ def power_sym(lam) -> QSym:
     return _power_sym(as_partition(lam))
 
 
-@cache
+@lru_cache(maxsize=128)
 def _power_sym(lam) -> QSym:
     out = QSym.unit("M")
     for k in lam:
@@ -207,7 +215,7 @@ def elementary_sym(lam) -> QSym:
     return _elementary_sym(as_partition(lam))
 
 
-@cache
+@lru_cache(maxsize=128)
 def _elementary_sym(lam) -> QSym:
     out = QSym.unit("M")
     for k in lam:
@@ -220,7 +228,7 @@ def homogeneous_sym(lam) -> QSym:
     return _homogeneous_sym(as_partition(lam))
 
 
-@cache
+@lru_cache(maxsize=128)
 def _homogeneous_sym(lam) -> QSym:
     out = QSym.unit("M")
     for k in lam:

@@ -164,6 +164,12 @@ def test_table_constructor_positional_and_keyword():
         CoefficientTable(1, "ctype")
 
 
+
+def test_table_rejects_an_unknown_key():
+    for key in ("ctyp", "CCOMP", "", None):
+        with pytest.raises(ValueError, match="unknown table key"):
+            CoefficientTable(2, key, {(2,): 1, (1, 1): 1})
+
 def test_table_equality_is_by_fields():
     table = CoefficientTable(2, "ctype", {(2,): Fraction(-1), (1, 1): Fraction(1)}, "sign")
     assert table == CoefficientTable(2, "ctype", {(1, 1): 1, (2,): -1}, "sign")

@@ -100,6 +100,19 @@ def test_qimm_command(primes_path):
     assert phi.stdout.strip() == "1950"
 
 
+
+def test_options_are_scoped_to_the_commands_that_read_them(primes_path):
+    for args in (
+        ("det", primes_path, "--variant", "phi"),
+        ("expand", "m", "2", "--max-n", "3"),
+        ("toeplitz", "3", "--variant", "psi"),
+        ("verify", "all", "--variant", "phi"),
+        ("qimm", primes_path, "qs", "2,1", "--max-n", "3"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert "unrecognized arguments" in result.stderr
+
 def test_qimm_degree_mismatch(small_path):
     result = run_cli("qimm", small_path, "qs", "2,1")
     assert result.returncode == 2

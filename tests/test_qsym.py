@@ -59,6 +59,24 @@ def test_constructor_and_arithmetic():
         x + QSym.zero("Psi")
 
 
+
+def test_float_coefficients_and_scalars_are_rejected():
+    with pytest.raises(ValueError, match="floating-point"):
+        QSym("M", {(1,): 0.1})
+    with pytest.raises(ValueError, match="floating-point"):
+        QSym("M", [((1,), 1), ((2,), 2.0)])
+    hook = quasischur((2, 1))
+    for product in (lambda: hook * 0.1, lambda: 0.1 * hook, lambda: hook * 2.0):
+        with pytest.raises(ValueError, match="floating-point"):
+            product()
+    assert hook * Fraction(1, 10) == QSym("M", {(2, 1): Fraction(1, 10), (1, 1, 1): Fraction(1, 10)})
+
+
+def test_classical_builders_cache_is_bounded():
+    for builder in (qsym._monomial_sym, qsym._power_sym, qsym._elementary_sym, qsym._homogeneous_sym):
+        maxsize = builder.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
 def test_degree_bookkeeping():
     x = M(2, 1) + M(3)
     assert x.is_homogeneous() and x.degree() == 3

@@ -1,9 +1,12 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from quasimm import verification
 from quasimm.characters import chi2
-from quasimm.combinatorics import enumerate_permutations
+from quasimm.combinatorics import cycle_composition, enumerate_permutations
 from quasimm.engine import SquareMatrix, qimm_hook_fast, second_immanant
 from quasimm.verification import (
     Report,
@@ -54,6 +57,41 @@ def test_hook_rule_verifies(n):
     assert item.id == f"hook-rule-n{n}"
     assert item.expected == item.got
 
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_hook_rule_takes_one_cycle_composition_per_permutation(monkeypatch, n):
+    calls = []
+
+    def counted(sigma):
+        calls.append(sigma)
+        return cycle_composition(sigma)
+
+    monkeypatch.setattr(verification, "cycle_composition", counted)
+    assert verify_hook_rule(n).all_pass
+    assert len(calls) == math.factorial(n)
+
+
+@pytest.mark.parametrize("wrong", [(1, 1, 1, 1, 1), (2, 3), (1, 2, 2)])
+def test_hook_rule_reports_each_disagreeing_class(monkeypatch, wrong):
+    rule = verification.hook_qimm_coefficient
+    monkeypatch.setattr(
+        verification,
+        "hook_qimm_coefficient",
+        lambda alpha: rule(alpha) + (alpha == wrong),
+    )
+    size = Counter(map(cycle_composition, enumerate_permutations(5)))[wrong]
+    report = verify_hook_rule(5)
+    assert not report.all_pass
+    summary, mismatch = report.items
+    assert (summary.id, summary.expected, summary.got) == (
+        "hook-rule-n5",
+        "120/120 agree",
+        f"{120 - size}/120 agree",
+    )
+    assert mismatch.id == f"hook-rule-n5-ccomp{wrong}-size{size}"
+    assert int(mismatch.got) == int(mismatch.expected) + 1
+    assert not summary.passed and not mismatch.passed
 
 def test_hook_rule_rejects_small_orders():
     with pytest.raises(ValueError):
