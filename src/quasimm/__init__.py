@@ -36,7 +36,7 @@ _EXPORTS = {
     "qsym": (
         "QSym", "count_composition_tableaux", "elementary_sym", "format_element",
         "homogeneous_sym", "is_symmetric", "m_product", "m_to_power_row", "monomial_sym",
-        "p_coefficient", "power_sym", "power_to_m_row", "quasischur", "schur_sym",
+        "p_coefficient", "p_weights", "power_sym", "power_to_m_row", "quasischur", "schur_sym",
         "to_coords", "to_json_dict",
     ),
     "verification": (

@@ -19,6 +19,7 @@ from .combinatorics import (
     as_composition,
     as_partition,
     cycles,
+    enumerate_compositions,
     enumerate_partitions,
     format_parts,
     z_of,
@@ -81,9 +82,10 @@ class CoefficientTable:
 
     key is "ctype" (weights indexed by cycle type, defined on every
     partition of the degree) or "ccomp" (indexed by cycle composition,
-    defined on every composition of the degree).  provenance names the
-    construction that produced the weights.  Tables compare by their
-    fields, and their attributes are read-only.
+    defined on every composition of the degree); a table whose classes are
+    not exactly these is refused.  provenance names the construction that
+    produced the weights.  Tables compare by their fields, and their
+    attributes are read-only.
     """
 
     __slots__ = ("degree", "key", "values", "provenance")
@@ -91,6 +93,7 @@ class CoefficientTable:
     def __init__(self, degree: int, key: str, values: dict, provenance: str = ""):
         if key not in ("ctype", "ccomp"):
             raise ValueError(f"unknown table key {key!r}; expected 'ctype' or 'ccomp'")
+        _check_classes(degree, key, values)
         for name, value in zip(self.__slots__, (degree, key, values, provenance)):
             object.__setattr__(self, name, value)
 
@@ -110,6 +113,34 @@ class CoefficientTable:
 
     def __call__(self, index) -> Fraction:
         return self.values[as_partition(index) if self.key == "ctype" else as_composition(index)]
+
+
+def _check_classes(degree, key: str, values: dict) -> None:
+    """Raise ValueError naming a foreign or a missing class unless values has every class once.
+
+    The p(n) partitions are compared as a set.  The 2^(n-1) compositions
+    are listed only to name a missing one: once each key is a composition
+    of the degree, as many keys as compositions means every one is there.
+    """
+    if key == "ctype":
+        classes = enumerate_partitions(degree)
+        foreign = set(values).difference(classes)
+    else:
+        classes = None
+        foreign = [index for index in values if not _is_composition_of(index, degree)]
+    if foreign:
+        bad = next(iter(foreign))
+        raise ValueError(f"{key} table of degree {degree} has the foreign class {bad!r}")
+    if len(values) != (len(classes) if classes else 1 << max(degree - 1, 0)):
+        missing = next(c for c in classes or enumerate_compositions(degree) if c not in values)
+        raise ValueError(f"{key} table of degree {degree} has no weight for the class {missing!r}")
+
+
+def _is_composition_of(index, degree) -> bool:
+    try:
+        return isinstance(index, tuple) and sum(as_composition(index)) == degree
+    except ValueError:
+        return False
 
 
 def ClassFunction(degree: int, values: dict) -> CoefficientTable:
@@ -174,4 +205,4 @@ def _p_weight(build, lam, mu) -> Fraction:
     mu = as_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("coefficient arguments must be partitions of the same order")
-    return z_of(mu) * qsym.p_coefficient(build(lam), mu)
+    return qsym.p_weights(build(lam)).get(mu, Fraction(0))

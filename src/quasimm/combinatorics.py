@@ -159,21 +159,31 @@ def dominance_order(alpha, beta) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def weighted_coarsenings(beta, block_weight) -> list[tuple[Composition, object]]:
+def weighted_coarsenings(beta, block_weight, partitions=False) -> list[tuple[Composition, object]]:
     """Each coarsening of beta, with the product of block_weight over its merged blocks.
 
     Built from the right end: the coarsenings of beta[i:] extend those of
     beta[j:] by the block beta[i:j], so each block is weighed once and each
-    of the 2^(len(beta)-1) coarsenings costs one product.
+    of the 2^(len(beta)-1) coarsenings costs one product.  With partitions
+    set, only the weakly decreasing coarsenings are kept: a tail whose first
+    part exceeds the block placed before it is dropped, and a block stops
+    growing once it exceeds the sum of all the parts before it.
     """
     ell = len(beta)
-    tails = [[((), 1)]]  # tails[k]: the coarsenings of the last k parts
+    head = sum(beta)  # lowered to the sum of beta[:i] as i falls
+    tails = [[((), 1)]]  # tails[k]: the (kept) coarsenings of the last k parts
     for i in range(ell - 1, -1, -1):
-        rows = []
+        head -= beta[i]
+        rows, part = [], 0
         for j in range(i + 1, ell + 1):
-            block = beta[i:j]
-            part, weight = sum(block), block_weight(block)
-            rows.extend(((part,) + rest, weight * w) for rest, w in tails[ell - j])
+            part += beta[j - 1]  # the sum of the block beta[i:j]
+            if partitions and i and part > head:
+                break
+            weight = block_weight(beta[i:j])
+            for rest, w in tails[ell - j]:  # each row list grows by ascending first part
+                if partitions and rest and rest[0] > part:
+                    break
+                rows.append(((part,) + rest, weight * w))
         tails.append(rows)
     return tails[-1]
 
@@ -204,19 +214,29 @@ def mask_composition(n: int, mask: int) -> Composition:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, in descending lexicographic order."""
+    """All partitions of n, in descending lexicographic order.
+
+    Each next partition lowers the last part above 1 by one and refills
+    the parts after it, the freed ones included, greedily with parts no
+    larger than it.
+    """
     if n < 0:
         raise ValueError("order must be nonnegative")
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return list(gen(n, n))
+    out, parts = [], [n] if n else []
+    while True:
+        out.append(tuple(parts))
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return out
+        parts[-1] -= 1
+        cap, rest = parts[-1], ones + 1
+        while rest > cap:
+            parts.append(cap)
+            rest -= cap
+        parts.append(rest)
 
 
 def enumerate_permutations(n: int) -> list[Permutation]:

@@ -34,9 +34,8 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_partitions,
     sort_composition,
-    z_of,
 )
-from .qsym import QSym, elementary_sym, is_symmetric, monomial_sym, to_coords
+from .qsym import QSym, elementary_sym, is_symmetric, monomial_sym, p_weights, to_coords
 
 
 # Text entries: an optionally signed integer, or such an integer over a nonzero one.
@@ -264,8 +263,8 @@ def _coefficient_table(q: QSym, variant: str | None, branch: str) -> Coefficient
         }
         return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
     if variant is None:  # the one cycle-type entry, reached once q is known to be symmetric
-        psi = to_coords(q, "Psi").coeffs
-        values = {mu: z_of(mu) * psi.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
+        weights = p_weights(q)
+        values = {mu: weights.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
         return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
     if is_symmetric(q):
         return _coefficient_table(q, None, "ctype")

@@ -25,10 +25,18 @@ from .combinatorics import (
     mask_composition,
     sort_composition,
     weighted_coarsenings,
+    z_of,
     z_of_composition,
 )
 
 BASES = ("M", "Psi", "Phi")
+
+
+def _check_exact(value, what: str) -> None:
+    """Refuse floats, which are inexact, and booleans, which only pass for integers."""
+    if isinstance(value, (float, bool)):
+        kind = "boolean" if isinstance(value, bool) else "floating-point"
+        raise ValueError(f"{kind} {what} are not accepted")
 
 
 class QSym:
@@ -47,8 +55,7 @@ class QSym:
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         clean: dict = {}
         for alpha, c in items:
-            if isinstance(c, float):
-                raise ValueError("floating-point coefficients are not accepted")
+            _check_exact(c, "coefficients")
             alpha = as_composition(alpha)
             clean[alpha] = clean.get(alpha, Fraction(0)) + Fraction(c)
         self.basis = basis
@@ -98,8 +105,7 @@ class QSym:
     def __mul__(self, other):
         if isinstance(other, QSym):
             return m_product(self, other)
-        if isinstance(other, float):
-            raise ValueError("floating-point scalars are not accepted")
+        _check_exact(other, "scalars")
         scalar = Fraction(other)
         return QSym(self.basis, {a: c * scalar for a, c in self.coeffs.items()})
 
@@ -359,15 +365,19 @@ def _from_fundamentals(n, counts) -> QSym:
     """M coordinates of the sum of counts[mask] F_mask over descent masks of degree n.
 
     F_D is the sum of M_beta over every beta whose descent set contains D, so
-    adding each mask's total into its supersets, one bit at a time, gives M.
+    each mask's count goes to each of its own supersets: sum of 2^(n-1-|D|)
+    additions over the masks D present.
     """
-    coeffs = [counts.get(mask, 0) for mask in range(1 << max(n - 1, 0))]
-    for bit in range(n - 1):
-        step = 1 << bit
-        for mask in range(len(coeffs)):
-            if mask & step:
-                coeffs[mask] += coeffs[mask ^ step]
-    return QSym("M", {mask_composition(n, mask): c for mask, c in enumerate(coeffs) if c})
+    full = (1 << max(n - 1, 0)) - 1
+    coeffs: defaultdict = defaultdict(int)
+    for mask, c in counts.items():
+        free = extra = full & ~mask
+        while True:  # extra runs over every subset of the free bits
+            coeffs[mask | extra] += c
+            if not extra:
+                break
+            extra = (extra - 1) & free
+    return QSym("M", {mask_composition(n, mask): c for mask, c in coeffs.items() if c})
 
 
 # Closed-form rows (Ballantine, Daugherty, Hicks, Mason and Niese, "On
@@ -378,7 +388,7 @@ def _from_fundamentals(n, counts) -> QSym:
 # the signed lp(beta,alpha) and prod(alpha)/ell(beta,alpha), and 1/pi(alpha,beta)
 # and 1/sp(alpha,beta).  The Phi factor is taken times unit = lcm(1..n).
 _TO_POWER = {
-    "Psi": lambda b, unit: -b[-1] if len(b) % 2 == 0 else b[-1],
+    "Psi": lambda b, unit=1: -b[-1] if len(b) % 2 == 0 else b[-1],
     "Phi": lambda b, unit: sum(b) * unit // len(b) * (-1 if len(b) % 2 == 0 else 1),
 }
 _TO_M = {
@@ -427,19 +437,24 @@ def to_coords(q: QSym, target: str) -> QSym:
             return q
     # Scaled to integer coefficients, the sums stay in integer arithmetic; a
     # coarsening alpha has len(alpha) blocks, so it carries unit^len(alpha).
-    scale = math.lcm(*(c.denominator for c in q.coeffs.values()))
+    terms, scale = _integer_terms(q)
     unit = math.lcm(*range(1, max(map(sum, q.coeffs), default=0) + 1)) if target == "Phi" else 1
-    terms = ((beta, c.numerator * (scale // c.denominator)) for beta, c in q.coeffs.items())
     sums = _merge_blocks(terms, lambda b: _TO_POWER[target](b, unit))
     out = {a: Fraction(s, scale * z_of_composition(a) * unit ** len(a)) for a, s in sums.items()}
     return QSym(target, out)
 
 
-def _merge_blocks(terms, factor) -> dict:
+def _integer_terms(q: QSym):
+    """q's terms with coefficients times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for c in q.coeffs.values()))
+    return ((beta, c.numerator * (scale // c.denominator)) for beta, c in q.coeffs.items()), scale
+
+
+def _merge_blocks(terms, factor, partitions=False) -> dict:
     """Sum over (index, c) of c times each coarsening of index, weighted by its blocks."""
     out: defaultdict = defaultdict(int)
     for index, c in terms:
-        for coarser, w in weighted_coarsenings(index, factor):
+        for coarser, w in weighted_coarsenings(index, factor, partitions):
             out[coarser] += c * w
     return out
 
@@ -452,13 +467,13 @@ def _rearrangement_count(lam) -> int:
 
 
 def is_symmetric(q: QSym) -> bool:
-    """True iff the M coefficients are constant on rearrangement classes.
+    """True iff q's coefficients, in its own basis, are constant on rearrangement classes.
 
     Every rearrangement of a contributing partition must be present with
-    the same coefficient.
+    the same coefficient.  The test holds in M, and in Psi and Phi too:
+    p_lam is the sum of Psi_alpha, and of Phi_alpha, over the rearrangements
+    alpha of lam.
     """
-    if q.basis != "M":
-        q = to_coords(q, "M")
     groups: defaultdict = defaultdict(list)
     for alpha, c in q.coeffs.items():
         groups[sort_composition(alpha)].append(c)
@@ -468,16 +483,28 @@ def is_symmetric(q: QSym) -> bool:
     return True
 
 
-def p_coefficient(q: QSym, lam) -> Fraction:
-    """Coefficient of p_lam in a symmetric element.
+def p_weights(q: QSym) -> dict:
+    """z_mu times the p_mu coefficient of a symmetric q, at each partition mu where it is nonzero.
 
-    Read off as the Psi coordinate at lam itself; for symmetric elements
-    the Psi coordinate is constant across rearrangements of lam.
+    The p_mu coefficient of a symmetric element is its Psi coordinate at mu,
+    and its Phi coordinate there too.  A Psi or Phi element is read as it
+    stands; from M only the weakly decreasing coarsenings of each term are
+    summed, and z_mu cancels the 1/z_mu of the M-to-Psi row.  Symmetry is
+    not checked here.
     """
+    if q.basis != "M":
+        return {mu: z_of(mu) * c for mu, c in q.coeffs.items() if sort_composition(mu) == mu}
+    terms, scale = _integer_terms(q)
+    sums = _merge_blocks(terms, _TO_POWER["Psi"], partitions=True)
+    return {mu: Fraction(s, scale) for mu, s in sums.items() if s}
+
+
+def p_coefficient(q: QSym, lam) -> Fraction:
+    """Coefficient of p_lam in a symmetric element."""
     lam = as_partition(lam)
     if not is_symmetric(q):
         raise ValueError("p_coefficient needs a symmetric element")
-    return to_coords(q, "Psi").coeffs.get(lam, Fraction(0))
+    return p_weights(q).get(lam, Fraction(0)) / z_of(lam)
 
 
 def to_json_dict(q: QSym) -> dict:

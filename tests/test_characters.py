@@ -143,7 +143,8 @@ def test_named_weight_vectors():
 
 
 def test_composition_keyed_tables():
-    table = CoefficientTable(3, "ccomp", {(1, 2): Fraction(5), (2, 1): Fraction(7)})
+    values = {(3,): Fraction(1), (1, 2): Fraction(5), (2, 1): Fraction(7), (1, 1, 1): Fraction(1)}
+    table = CoefficientTable(3, "ccomp", values)
     assert table((1, 2)) == 5 and table((2, 1)) == 7
     with pytest.raises(ValueError):
         table((0, 3))
@@ -176,7 +177,7 @@ def test_table_equality_is_by_fields():
     assert table == sign_character(2)
     assert table != CoefficientTable(2, "ctype", {(2,): Fraction(-1), (1, 1): Fraction(1)})
     assert table != CoefficientTable(2, "ccomp", table.values, "sign")
-    assert table != CoefficientTable(3, "ctype", table.values, "sign")
+    assert table != CoefficientTable(3, "ctype", sign_character(3).values, "sign")
     assert table != CoefficientTable(2, "ctype", {(2,): 1, (1, 1): 1}, "sign")
     assert table != (2, "ctype", table.values, "sign")
 
@@ -196,7 +197,37 @@ def test_table_repr_names_every_field():
     assert repr(table) == (
         "CoefficientTable(degree=1, key='ccomp', values={(1,): Fraction(2, 1)}, provenance='two')"
     )
-    assert repr(CoefficientTable(1, "ctype", {})).endswith("provenance='')")
+    assert repr(CoefficientTable(1, "ctype", {(1,): Fraction(1)})).endswith("provenance='')")
+
+
+@pytest.mark.parametrize(
+    "degree, key, values, message",
+    [
+        (2, "ccomp", {(2,): 1}, r"no weight for the class \(1, 1\)"),
+        (2, "ccomp", {(1, 1): 1}, r"no weight for the class \(2,\)"),
+        (3, "ctype", {(3,): 1, (1, 1, 1): 1}, r"no weight for the class \(2, 1\)"),
+        (1, "ctype", {}, r"no weight for the class \(1,\)"),
+        (0, "ccomp", {}, r"no weight for the class \(\)"),
+        (2, "ctype", {(2,): 1, (1, 1): 1, (1, 2): 1}, r"foreign class \(1, 2\)"),
+        (2, "ccomp", {(2,): 1, (1, 1): 1, (3,): 1}, r"foreign class \(3,\)"),
+        (2, "ccomp", {(2,): 1, (0, 2): 1}, r"foreign class \(0, 2\)"),
+        (2, "ctype", {(2,): 1, "11": 1}, "foreign class '11'"),
+        (-1, "ctype", {}, "nonnegative"),
+        (-1, "ccomp", {}, "nonnegative"),
+    ],
+)
+def test_table_refuses_missing_and_foreign_classes(degree, key, values, message):
+    with pytest.raises(ValueError, match=message):
+        CoefficientTable(degree, key, values)
+
+
+def test_incomplete_table_fails_whatever_the_matrix():
+    # The second matrix's (2) class sum is zero, so only the table can tell.
+    from quasimm.engine import SquareMatrix, weighted_perm_sum
+
+    for matrix, values in (([[1, 2], [3, 4]], {(2,): 1}), ([[1, 0], [0, 4]], {(1, 1): 1})):
+        with pytest.raises(ValueError, match="no weight for the class"):
+            weighted_perm_sum(SquareMatrix(matrix), CoefficientTable(2, "ccomp", values))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

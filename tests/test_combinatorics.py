@@ -26,6 +26,7 @@ from quasimm.combinatorics import (
     refines,
     sort_composition,
     split_blocks,
+    weighted_coarsenings,
     z_of,
     z_of_composition,
 )
@@ -163,6 +164,21 @@ def test_enumerations():
     assert enumerate_permutations(0) == [()]
 
 
+def _recursive_partitions(remaining, cap):
+    """Partitions of remaining with parts at most cap, largest first part first."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _recursive_partitions(remaining - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(0, 16))
+def test_partition_enumeration_matches_recursive_oracle(n):
+    assert enumerate_partitions(n) == list(_recursive_partitions(n, n))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_composition_enumeration_is_dominance_descending(n):
     comps = enumerate_compositions(n)
@@ -178,6 +194,17 @@ def test_coarsening_count(n):
         coarse = coarsenings(beta)
         assert len(coarse) == len(set(coarse)) == 2 ** (len(beta) - 1)
         assert set(coarse) == {alpha for alpha in comps if refines(beta, alpha)}
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_partition_coarsenings_are_the_weakly_decreasing_ones(n):
+    def weight(block):  # distinct per block, so a wrong product shows
+        return sum(block) * 7 + len(block) * 3 + block[-1]
+
+    for beta in enumerate_compositions(n):
+        every = weighted_coarsenings(beta, weight)
+        kept = weighted_coarsenings(beta, weight, partitions=True)
+        assert kept == [(alpha, w) for alpha, w in every if sort_composition(alpha) == alpha]
 
 
 @pytest.mark.parametrize("n", range(1, 8))

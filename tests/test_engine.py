@@ -371,11 +371,12 @@ def test_element_table_cache_is_bounded():
 def test_symmetric_element_spellings_share_one_table(monkeypatch):
     e = elementary_sym((2, 2))
     a = _random_matrix(random.Random(22), 4)
-    conversions = []
-    convert = engine.to_coords
+    conversions, readings = [], []
+    convert, read = engine.to_coords, engine.p_weights
     monkeypatch.setattr(
         engine, "to_coords", lambda q, target: conversions.append(target) or convert(q, target)
     )
+    monkeypatch.setattr(engine, "p_weights", lambda q: readings.append(q) or read(q))
     qimm_coefficient_table.cache_clear()
     assert qimm(a, e) == qimm(a, e, "Phi")
     table = qimm_coefficient_table(e)
@@ -383,7 +384,8 @@ def test_symmetric_element_spellings_share_one_table(monkeypatch):
     assert qimm_coefficient_table(e, "Psi") is table
     assert qimm_coefficient_table(e, "Phi", "auto") is table
     assert qimm_coefficient_table(e, branch="ctype") is table
-    assert conversions == ["Psi"]
+    assert readings == [e]
+    assert conversions == []
 
 
 @pytest.mark.parametrize("n", range(2, 5))

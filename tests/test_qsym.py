@@ -32,6 +32,7 @@ from quasimm.qsym import (
     m_to_power_row,
     monomial_sym,
     p_coefficient,
+    p_weights,
     power_sym,
     power_to_m_row,
     quasischur,
@@ -70,6 +71,17 @@ def test_float_coefficients_and_scalars_are_rejected():
         with pytest.raises(ValueError, match="floating-point"):
             product()
     assert hook * Fraction(1, 10) == QSym("M", {(2, 1): Fraction(1, 10), (1, 1, 1): Fraction(1, 10)})
+
+
+def test_boolean_coefficients_and_scalars_are_rejected():
+    for coeffs in ({(1,): True}, [((1,), 1), ((2,), False)]):
+        with pytest.raises(ValueError, match="boolean"):
+            QSym("M", coeffs)
+    hook = quasischur((2, 1))
+    for product in (lambda: hook * True, lambda: True * hook, lambda: hook * False):
+        with pytest.raises(ValueError, match="boolean"):
+            product()
+    assert hook * 1 == hook
 
 
 def test_classical_builders_cache_is_bounded():
@@ -268,6 +280,44 @@ def test_schur_matches_character_route(n):
         assert schur_sym(lam) == frobenius(character_class_function(lam))
 
 
+def _dense_from_fundamentals(n, counts):
+    """M coordinates of a descent-mask histogram by the dense superset-sum pass.
+
+    Every one of the 2^(n-1) masks takes the total of its subsets, one bit
+    at a time: (n-1) 2^(n-1) additions, however few masks are present.
+    """
+    coeffs = [counts.get(mask, 0) for mask in range(1 << max(n - 1, 0))]
+    for bit in range(n - 1):
+        step = 1 << bit
+        for mask in range(len(coeffs)):
+            if mask & step:
+                coeffs[mask] += coeffs[mask ^ step]
+    return QSym("M", {qsym.mask_composition(n, mask): c for mask, c in enumerate(coeffs) if c})
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_fundamental_pass_matches_dense_oracle(n, monkeypatch):
+    histograms = []
+    sparse = qsym._from_fundamentals
+    monkeypatch.setattr(
+        qsym, "_from_fundamentals", lambda k, counts: histograms.append(counts) or sparse(k, counts)
+    )
+    shapes = [(quasischur, alpha) for alpha in enumerate_compositions(n)]
+    shapes += [(schur_sym, lam) for lam in enumerate_partitions(n)]
+    for build, shape in shapes:
+        element = build(shape)
+        assert element == _dense_from_fundamentals(n, histograms[-1])
+    assert len(histograms) == len(shapes)
+
+
+def test_fundamental_pass_visits_only_supersets():
+    # A mask missing one descent has two supersets: two additions, where the
+    # dense pass runs over all 2^19 masks 19 times.
+    ones, full = (1,) * 20, (1 << 19) - 1
+    assert quasischur(ones) == M(*ones)
+    assert qsym._from_fundamentals(20, {full ^ 1: 3}) == 3 * M(*ones) + 3 * M(2, *ones[2:])
+
+
 def test_quasischur_builds_without_content_counts(monkeypatch):
     shape, ones = (3, 1, 5), (1,) * 9  # used by no other test
     standard = count_composition_tableaux(shape, ones)
@@ -445,6 +495,46 @@ def test_is_symmetric():
     assert is_symmetric(quasischur((2,)))  # equals h_2
     assert not is_symmetric(quasischur((2, 1)))
     assert is_symmetric(to_coords(power_sym((2, 1)), "Psi"))
+
+
+_SYMMETRIC_BUILDERS = (monomial_sym, power_sym, elementary_sym, homogeneous_sym, schur_sym)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_p_weights_match_the_whole_psi_conversion(n):
+    rng = random.Random(9100 + n)
+    elements = [build(lam) for lam in enumerate_partitions(n) for build in _SYMMETRIC_BUILDERS]
+    for _ in range(4):  # random rational combinations
+        picked = rng.sample(elements, k=min(3, len(elements)))
+        scaled = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * q for q in picked)
+        elements.append(sum(scaled, QSym.zero("M")))
+    for q in elements:
+        psi = to_coords(q, "Psi")  # the reference: the whole conversion
+        expected = {mu: z_of(mu) * c for mu, c in psi.coeffs.items() if sort_composition(mu) == mu}
+        assert p_weights(q) == p_weights(psi) == p_weights(to_coords(q, "Phi")) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetry_reads_alike_in_every_basis(n):
+    rng = random.Random(9200 + n)
+    comps = enumerate_compositions(n)
+    elements = [build(lam) for lam in enumerate_partitions(n) for build in _SYMMETRIC_BUILDERS]
+    elements += [quasischur(alpha) for alpha in comps]
+    elements += [elementary_sym((n,)) + M(*comps[-1]), schur_sym((n,)) - M(*comps[0])]
+    for _ in range(8):
+        chosen = rng.sample(comps, k=rng.randint(1, len(comps)))
+        elements.append(QSym("M", {alpha: rng.randint(-2, 2) for alpha in chosen}))
+    seen = set()
+    for variant in ("Psi", "Phi"):
+        for q in elements:
+            x = to_coords(q, variant)
+            seen.add(is_symmetric(x))
+            assert is_symmetric(x) == is_symmetric(q)  # q is x in M
+        for _ in range(8):  # sums given in the power-sum basis itself
+            chosen = rng.sample(comps, k=rng.randint(1, len(comps)))
+            y = QSym(variant, {alpha: rng.randint(-1, 1) for alpha in chosen})
+            assert is_symmetric(y) == is_symmetric(to_coords(y, "M"))
+    assert seen == ({True, False} if n > 2 else {True})
 
 
 def test_p_coefficient():
