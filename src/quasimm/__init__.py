@@ -16,16 +16,14 @@ import importlib
 
 _EXPORTS = {
     "characters": (
-        "ClassFunction", "CoefficientTable", "character_class_function", "chi2",
-        "epsilon_coeff", "fixed_points", "frobenius", "irreducible_character", "phi_coeff",
-        "sign", "sign_character", "trivial_character",
+        "CoefficientTable", "character_class_function", "chi2", "fixed_points", "frobenius",
+        "irreducible_character", "sign", "sign_character", "trivial_character",
     ),
     "combinatorics": (
-        "as_composition", "as_partition", "as_permutation", "coarsenings",
-        "count_perms_with_ctype", "cycle_composition", "cycle_type", "cycles", "descent_set",
-        "dominance_order", "ell_stat", "enumerate_compositions", "enumerate_partitions",
-        "enumerate_permutations", "format_parts", "lp_stat", "parse_parts", "refines",
-        "sort_composition", "split_blocks", "z_of", "z_of_composition",
+        "as_composition", "as_partition", "as_permutation", "count_perms_with_ctype",
+        "cycle_composition", "cycle_type", "cycles", "enumerate_compositions",
+        "enumerate_partitions", "enumerate_permutations", "format_parts", "parse_parts",
+        "sort_composition", "z_of", "z_of_composition",
     ),
     "engine": (
         "SquareMatrix", "class_sums", "determinant", "determinant_elimination",
@@ -34,10 +32,9 @@ _EXPORTS = {
         "qimm_coefficient_table", "qimm_hook_fast", "second_immanant", "weighted_perm_sum",
     ),
     "qsym": (
-        "QSym", "count_composition_tableaux", "elementary_sym", "format_element",
-        "homogeneous_sym", "is_symmetric", "m_product", "m_to_power_row", "monomial_sym",
-        "p_coefficient", "p_weights", "power_sym", "power_to_m_row", "quasischur", "schur_sym",
-        "to_coords", "to_json_dict",
+        "QSym", "elementary_sym", "format_element", "homogeneous_sym", "is_symmetric",
+        "m_product", "monomial_sym", "p_coefficient", "p_weights", "power_sym", "quasischur",
+        "schur_sym", "to_coords", "to_json_dict",
     ),
     "verification": (
         "Report", "ReportItem", "c_sigma", "render_table", "toeplitz_d2_closed_form",

@@ -3,9 +3,8 @@
 Irreducible character values by the border-strip recursion, the closed
 form sign(sigma)(fixed points - 1) for the hook shape (2,1,...,1), the
 CoefficientTable that carries every permutation-sum weight vector, the
-named character-valued vectors, the class-function-to-symmetric-function
-transform, and the per-class elementary and monomial coefficient
-families.
+named character-valued vectors, and the class-function-to-symmetric-function
+transform.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ class CoefficientTable:
     key is "ctype" (weights indexed by cycle type, defined on every
     partition of the degree) or "ccomp" (indexed by cycle composition,
     defined on every composition of the degree); a table whose classes are
-    not exactly these is refused.  provenance names the construction that
-    produced the weights.  Tables compare by their fields, and their
-    attributes are read-only.
+    not exactly these, or that holds a floating-point or boolean weight, is
+    refused.  provenance names the construction that produced the weights.
+    Tables compare by their fields, and their attributes are read-only.
     """
 
     __slots__ = ("degree", "key", "values", "provenance")
@@ -94,6 +93,8 @@ class CoefficientTable:
         if key not in ("ctype", "ccomp"):
             raise ValueError(f"unknown table key {key!r}; expected 'ctype' or 'ccomp'")
         _check_classes(degree, key, values)
+        for index, value in values.items():
+            qsym._check_exact(value, f"weights (at the {key} class {index!r})")
         for name, value in zip(self.__slots__, (degree, key, values, provenance)):
             object.__setattr__(self, name, value)
 
@@ -143,11 +144,6 @@ def _is_composition_of(index, degree) -> bool:
         return False
 
 
-def ClassFunction(degree: int, values: dict) -> CoefficientTable:
-    """A class function of S_n given by its values on cycle types."""
-    return CoefficientTable(degree, "ctype", values)
-
-
 def character_class_function(lam) -> CoefficientTable:
     """The irreducible character chi^lam as a weight vector over all classes."""
     lam = as_partition(lam)
@@ -181,28 +177,3 @@ def frobenius(theta: CoefficientTable):
         if val:
             total = total + qsym.power_sym(mu) * Fraction(val, z_of(mu))
     return total
-
-
-def epsilon_coeff(lam, mu) -> Fraction:
-    """Permutation-sum weight of the elementary symmetric function e_lam.
-
-    Defined so that e_lam is the frobenius image of this class function:
-    the value at mu is z_mu times the p_mu coefficient of e_lam.
-    """
-    return _p_weight(qsym.elementary_sym, lam, mu)
-
-
-def phi_coeff(lam, mu) -> Fraction:
-    """Permutation-sum weight of the monomial symmetric function m_lam.
-
-    The value at mu is z_mu times the p_mu coefficient of m_lam.
-    """
-    return _p_weight(qsym.monomial_sym, lam, mu)
-
-
-def _p_weight(build, lam, mu) -> Fraction:
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("coefficient arguments must be partitions of the same order")
-    return qsym.p_weights(build(lam)).get(mu, Fraction(0))

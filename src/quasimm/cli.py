@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from pathlib import Path
 
 from . import qsym
 from .combinatorics import as_partition, parse_parts
@@ -74,7 +73,8 @@ def _load_matrix(path: str):
 def _write_json(path: str, payload: dict) -> None:
     import json
 
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    with open(path, "w") as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_scalar(value, args) -> int:

@@ -47,50 +47,6 @@ def sort_composition(alpha) -> Partition:
     return tuple(sorted(alpha, reverse=True))
 
 
-def descent_set(alpha) -> set[int]:
-    """Partial sums of all but the last part: {a1, a1+a2, ...}."""
-    out = set()
-    total = 0
-    for part in alpha[:-1]:
-        total += part
-        out.add(total)
-    return out
-
-
-def refines(beta, alpha) -> bool:
-    """True iff beta refines alpha (the descent set of alpha is a subset of beta's)."""
-    if sum(alpha) != sum(beta):
-        raise ValueError("refinement compares compositions of equal order")
-    return descent_set(alpha) <= descent_set(beta)
-
-
-def split_blocks(beta, alpha) -> tuple[Composition, ...]:
-    """Split beta into consecutive blocks whose sums are the parts of alpha."""
-    if not refines(beta, alpha):
-        raise ValueError(f"{tuple(beta)} does not refine {tuple(alpha)}")
-    blocks = []
-    parts = iter(beta)
-    for target in alpha:
-        block = []
-        total = 0
-        while total < target:
-            part = next(parts)
-            block.append(part)
-            total += part
-        blocks.append(tuple(block))
-    return tuple(blocks)
-
-
-def ell_stat(beta, alpha) -> int:
-    """Product of the block lengths of beta relative to alpha."""
-    return math.prod(len(b) for b in split_blocks(beta, alpha))
-
-
-def lp_stat(beta, alpha) -> int:
-    """Product over the blocks of beta relative to alpha of each block's last part."""
-    return math.prod(b[-1] for b in split_blocks(beta, alpha))
-
-
 def z_of(lam) -> int:
     """Centralizer order 1^m1 m1! 2^m2 m2! ... of a permutation of cycle type lam."""
     z = 1
@@ -151,14 +107,6 @@ def dominance_key(alpha) -> tuple:
     return (sort_composition(alpha), tuple(alpha))
 
 
-def dominance_order(alpha, beta) -> int:
-    """Three-way comparison under the total order: 1, 0, or -1."""
-    if sum(alpha) != sum(beta):
-        raise ValueError("dominance compares compositions of equal order")
-    ka, kb = dominance_key(alpha), dominance_key(beta)
-    return (ka > kb) - (ka < kb)
-
-
 def weighted_coarsenings(beta, block_weight, partitions=False) -> list[tuple[Composition, object]]:
     """Each coarsening of beta, with the product of block_weight over its merged blocks.
 
@@ -186,14 +134,6 @@ def weighted_coarsenings(beta, block_weight, partitions=False) -> list[tuple[Com
                 rows.append(((part,) + rest, weight * w))
         tails.append(rows)
     return tails[-1]
-
-
-def coarsenings(beta) -> list[Composition]:
-    """All 2^(len(beta)-1) compositions obtained by merging consecutive parts of beta.
-
-    These are exactly the alpha with refines(beta, alpha).
-    """
-    return [alpha for alpha, _ in weighted_coarsenings(tuple(beta), lambda block: 1)]
 
 
 def enumerate_compositions(n: int) -> list[Composition]:

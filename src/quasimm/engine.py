@@ -20,7 +20,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 from .characters import (
     CoefficientTable,
@@ -104,7 +103,8 @@ def matrix_from_json_dict(obj) -> SquareMatrix:
 
 def load_matrix(path) -> SquareMatrix:
     """Read a matrix from a JSON or CSV file, deciding by the leading character."""
-    text = Path(path).read_text()
+    with open(path) as source:
+        text = source.read()
     if text.lstrip()[:1] in ("{", "["):
         return matrix_from_json_dict(json.loads(text))
     rows = []

@@ -279,40 +279,6 @@ def _admissible(rows, alpha, j, k, v) -> bool:
     return True
 
 
-def count_composition_tableaux(alpha, beta) -> int:
-    """Number of fillings of the diagram of alpha with content beta.
-
-    A filling places value v in beta_v cells, cell by cell in reading order,
-    where each cell takes any value that _admissible allows.
-    """
-    alpha = as_composition(alpha)
-    beta = as_composition(beta)
-    if sum(alpha) != sum(beta):
-        raise ValueError("shape and content must have equal order")
-    if not alpha:
-        return 1
-    values = len(beta)
-    remaining = [0] + list(beta)  # remaining[v] = unused copies of value v
-    rows = [[0] * width for width in alpha]
-    cells = [(j, k) for j, width in enumerate(alpha) for k in range(width)]
-
-    def fill(pos):
-        if pos == len(cells):
-            return 1
-        j, k = cells[pos]
-        total = 0
-        for v in range(1, values + 1):
-            if remaining[v] and _admissible(rows, alpha, j, k, v):
-                remaining[v] -= 1
-                rows[j][k] = v
-                total += fill(pos + 1)
-                rows[j][k] = 0
-                remaining[v] += 1
-        return total
-
-    return fill(0)
-
-
 def quasischur(alpha) -> QSym:
     """Quasi-Schur element of shape alpha: sum of F_Des(T) over its standard composition tableaux.
 
@@ -395,33 +361,6 @@ _TO_M = {
     "Psi": lambda b: Fraction(1, math.prod(itertools.accumulate(b))),
     "Phi": lambda b: Fraction(1, math.factorial(len(b)) * math.prod(b)),
 }
-
-
-def m_to_power_row(beta, variant: str = "Psi") -> dict:
-    """Psi (or Phi) coordinates of M_beta: one entry per coarsening alpha of beta.
-
-    The entry is (-1)^(len(beta)-len(alpha)) lp(beta,alpha)/z_alpha for Psi
-    and (-1)^(len(beta)-len(alpha)) prod(alpha)/(z_alpha ell(beta,alpha))
-    for Phi.
-    """
-    _check_variant(variant)
-    return to_coords(QSym.basis_element("M", beta), variant).coeffs
-
-
-def power_to_m_row(alpha, variant: str = "Psi") -> dict:
-    """M coordinates of Psi_alpha (or Phi_alpha): one entry per coarsening beta of alpha.
-
-    The entry is z_alpha/pi(alpha,beta) for Psi and z_alpha/sp(alpha,beta)
-    for Phi, where pi multiplies the partial sums within each block and sp
-    multiplies each block's length factorial by its parts.
-    """
-    _check_variant(variant)
-    return to_coords(QSym.basis_element(variant, alpha), "M").coeffs
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in ("Psi", "Phi"):
-        raise ValueError(f"unknown power-sum variant {variant!r}")
 
 
 def to_coords(q: QSym, target: str) -> QSym:

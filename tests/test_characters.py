@@ -7,11 +7,9 @@ from quasimm.characters import (
     CoefficientTable,
     character_class_function,
     chi2,
-    epsilon_coeff,
     fixed_points,
     frobenius,
     irreducible_character,
-    phi_coeff,
     sign,
     sign_character,
     trivial_character,
@@ -29,6 +27,7 @@ from quasimm.qsym import (
     p_coefficient,
     schur_sym,
 )
+from oracles import e_weight, m_weight
 
 S3_TABLE = {
     # rows: shape, values over classes (1,1,1), (2,1), (3)
@@ -221,6 +220,16 @@ def test_table_refuses_missing_and_foreign_classes(degree, key, values, message)
         CoefficientTable(degree, key, values)
 
 
+def test_table_refuses_float_and_boolean_weights():
+    from quasimm.engine import SquareMatrix, weighted_perm_sum
+
+    a = SquareMatrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=r"floating-point weights \(at the ctype class \(2,\)\)"):
+        weighted_perm_sum(a, CoefficientTable(2, "ctype", {(2,): 0.1, (1, 1): True}))
+    with pytest.raises(ValueError, match=r"boolean weights \(at the ccomp class \(1, 1\)\)"):
+        CoefficientTable(2, "ccomp", {(2,): 1, (1, 1): True})
+
+
 def test_incomplete_table_fails_whatever_the_matrix():
     # The second matrix's (2) class sum is zero, so only the table can tell.
     from quasimm.engine import SquareMatrix, weighted_perm_sum
@@ -247,38 +256,33 @@ def test_character_round_trip_through_p_coefficients(n):
 
 
 def test_epsilon_coeff_values():
-    assert epsilon_coeff((1, 1), (1, 1)) == 2
-    assert epsilon_coeff((2,), (2,)) == -1
-    assert epsilon_coeff((2,), (1, 1)) == 1
-    assert epsilon_coeff((1, 1), (2,)) == 0
-    with pytest.raises(ValueError):
-        epsilon_coeff((2,), (2, 1))
+    assert e_weight((1, 1), (1, 1)) == 2
+    assert e_weight((2,), (2,)) == -1
+    assert e_weight((2,), (1, 1)) == 1
+    assert e_weight((1, 1), (2,)) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_epsilon_of_single_row_is_sign(n):
     # e_n equals the antisymmetric Schur element, so its weight family is the sign
     expected = sign_character(n).values
-    got = {mu: epsilon_coeff((n,), mu) for mu in enumerate_partitions(n)}
+    got = {mu: e_weight((n,), mu) for mu in enumerate_partitions(n)}
     assert got == expected
 
 
 def test_phi_coeff_values():
-    assert phi_coeff((2,), (2,)) == 2
-    assert phi_coeff((1, 1), (2,)) == -1
-    assert phi_coeff((1, 1), (1, 1)) == 1
-    with pytest.raises(ValueError):
-        phi_coeff((3,), (2,))
+    assert m_weight((2,), (2,)) == 2
+    assert m_weight((1, 1), (2,)) == -1
+    assert m_weight((1, 1), (1, 1)) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_coefficient_families_recover_their_elements(n):
-    from quasimm.characters import ClassFunction
-
-    for lam in enumerate_partitions(n):
-        eps = ClassFunction(n, {mu: epsilon_coeff(lam, mu) for mu in enumerate_partitions(n)})
+    classes = enumerate_partitions(n)
+    for lam in classes:
+        eps = CoefficientTable(n, "ctype", {mu: e_weight(lam, mu) for mu in classes})
         assert frobenius(eps) == elementary_sym(lam)
-        phi = ClassFunction(n, {mu: phi_coeff(lam, mu) for mu in enumerate_partitions(n)})
+        phi = CoefficientTable(n, "ctype", {mu: m_weight(lam, mu) for mu in classes})
         assert frobenius(phi) == monomial_sym(lam)
 
 
@@ -286,5 +290,5 @@ def test_coefficient_families_recover_their_elements(n):
 def test_coefficient_families_are_integral(n):
     for lam in enumerate_partitions(n):
         for mu in enumerate_partitions(n):
-            assert epsilon_coeff(lam, mu).denominator == 1
-            assert phi_coeff(lam, mu).denominator == 1
+            assert Fraction(e_weight(lam, mu)).denominator == 1
+            assert m_weight(lam, mu).denominator == 1

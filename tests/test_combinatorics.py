@@ -7,28 +7,30 @@ from quasimm.combinatorics import (
     as_composition,
     as_partition,
     as_permutation,
-    coarsenings,
     count_perms_with_ctype,
     cycle_composition,
     cycle_type,
     cycles,
-    descent_set,
     dominance_key,
-    dominance_order,
-    ell_stat,
     enumerate_compositions,
     enumerate_partitions,
     enumerate_permutations,
     format_parts,
-    lp_stat,
     mask_composition,
     parse_parts,
-    refines,
     sort_composition,
-    split_blocks,
     weighted_coarsenings,
     z_of,
     z_of_composition,
+)
+from oracles import (
+    coarsenings,
+    descent_set,
+    dominance_order,
+    ell_stat,
+    lp_stat,
+    refines,
+    split_blocks,
 )
 
 

@@ -35,7 +35,6 @@ from quasimm.engine import (
     second_immanant,
     weighted_perm_sum,
 )
-from quasimm.characters import epsilon_coeff, phi_coeff
 from quasimm.qsym import (
     QSym,
     elementary_sym,
@@ -45,6 +44,7 @@ from quasimm.qsym import (
     quasischur,
     schur_sym,
 )
+from oracles import e_weight, m_weight
 
 PRIMES = SquareMatrix([[2, 3, 5], [7, 11, 13], [17, 19, 23]])
 ONES3 = SquareMatrix([[1] * 3] * 3)
@@ -347,14 +347,15 @@ def test_qimm_symmetric_branch_reduces_to_immanants():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_elementary_and_monomial_immanants_match_per_class_families(n):
-    # Independent route: weights taken class by class from epsilon_coeff and
-    # phi_coeff, summed over every permutation without pruning.
+    # Independent route: weights counted from the p-to-m transition matrix,
+    # which shares no code with the engine, summed over every permutation
+    # without pruning.
     rng = random.Random(2600 + n)
     matrices = (_random_matrix(rng, n), _sparse_matrix(rng, n))
     classes = enumerate_partitions(n)
     for lam in classes:
-        eps = CoefficientTable(n, "ctype", {mu: epsilon_coeff(lam, mu) for mu in classes})
-        phi = CoefficientTable(n, "ctype", {mu: phi_coeff(lam, mu) for mu in classes})
+        eps = CoefficientTable(n, "ctype", {mu: e_weight(lam, mu) for mu in classes})
+        phi = CoefficientTable(n, "ctype", {mu: m_weight(lam, mu) for mu in classes})
         for a in matrices:
             assert elementary_immanant(a, lam) == _unpruned_sum(a, eps)
             assert monomial_immanant(a, lam) == _unpruned_sum(a, phi)

@@ -11,34 +11,37 @@ from hypothesis import strategies as st
 from quasimm import qsym
 from quasimm.characters import character_class_function, frobenius, irreducible_character
 from quasimm.combinatorics import (
-    dominance_order,
-    ell_stat,
     enumerate_compositions,
     enumerate_partitions,
-    lp_stat,
-    refines,
     sort_composition,
     z_of,
     z_of_composition,
 )
 from quasimm.qsym import (
     QSym,
-    count_composition_tableaux,
     elementary_sym,
     format_element,
     homogeneous_sym,
     is_symmetric,
     m_product,
-    m_to_power_row,
     monomial_sym,
     p_coefficient,
     p_weights,
     power_sym,
-    power_to_m_row,
     quasischur,
     schur_sym,
     to_coords,
     to_json_dict,
+)
+from oracles import (
+    count_composition_tableaux,
+    dominance_order,
+    e_weight,
+    ell_stat,
+    h_weight,
+    lp_stat,
+    m_weight,
+    refines,
 )
 
 M = lambda *alpha: QSym.basis_element("M", alpha)  # noqa: E731
@@ -318,14 +321,11 @@ def test_fundamental_pass_visits_only_supersets():
     assert qsym._from_fundamentals(20, {full ^ 1: 3}) == 3 * M(*ones) + 3 * M(2, *ones[2:])
 
 
-def test_quasischur_builds_without_content_counts(monkeypatch):
+def test_quasischur_builds_without_content_counts():
+    # The content-by-content count lives only in the test oracles.
+    assert not hasattr(qsym, "count_composition_tableaux")
     shape, ones = (3, 1, 5), (1,) * 9  # used by no other test
     standard = count_composition_tableaux(shape, ones)
-
-    def forbidden(alpha, beta):
-        raise AssertionError("quasischur counted fillings content by content")
-
-    monkeypatch.setattr(qsym, "count_composition_tableaux", forbidden)
     element = quasischur(shape)
     assert element.coefficient(shape) == 1
     assert element.coefficient(ones) == standard == 28
@@ -374,8 +374,8 @@ def _oracle_transition(n, variant):
 def test_rows_match_triangular_oracle(n, variant):
     rows, inverse = _oracle_transition(n, variant)
     for alpha in enumerate_compositions(n):
-        assert m_to_power_row(alpha, variant) == rows[alpha], alpha
-        assert power_to_m_row(alpha, variant) == inverse[alpha], alpha
+        assert to_coords(M(*alpha), variant).coeffs == rows[alpha], alpha
+        assert to_coords(QSym.basis_element(variant, alpha), "M").coeffs == inverse[alpha], alpha
         m = M(*alpha)
         assert to_coords(to_coords(m, variant), "M") == m
 
@@ -389,25 +389,25 @@ def test_power_to_m_works_term_by_term_at_degree_14():
 
 
 def test_transition_rows_degree_two():
-    assert m_to_power_row((2,), "Psi") == {(2,): 1}
-    assert m_to_power_row((1, 1), "Psi") == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
-    assert power_to_m_row((2,), "Psi") == {(2,): 1}
-    assert power_to_m_row((1, 1), "Psi") == {(1, 1): 2, (2,): 1}
+    assert to_coords(M(2), "Psi").coeffs == {(2,): 1}
+    assert to_coords(M(1, 1), "Psi").coeffs == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
+    assert to_coords(QSym.basis_element("Psi", (2,)), "M").coeffs == {(2,): 1}
+    assert to_coords(QSym.basis_element("Psi", (1, 1)), "M").coeffs == {(1, 1): 2, (2,): 1}
 
 
 def test_transition_rows_degree_three():
-    assert m_to_power_row((3,), "Psi") == {(3,): 1}
-    assert m_to_power_row((2, 1), "Psi") == {(2, 1): 1, (3,): Fraction(-1, 3)}
-    assert m_to_power_row((1, 2), "Psi") == {(1, 2): 1, (3,): Fraction(-2, 3)}
-    assert m_to_power_row((1, 1, 1), "Psi") == {
+    assert to_coords(M(3), "Psi").coeffs == {(3,): 1}
+    assert to_coords(M(2, 1), "Psi").coeffs == {(2, 1): 1, (3,): Fraction(-1, 3)}
+    assert to_coords(M(1, 2), "Psi").coeffs == {(1, 2): 1, (3,): Fraction(-2, 3)}
+    assert to_coords(M(1, 1, 1), "Psi").coeffs == {
         (1, 1, 1): Fraction(1, 6),
         (2, 1): Fraction(-1, 2),
         (1, 2): Fraction(-1, 2),
         (3,): Fraction(1, 3),
     }
-    assert m_to_power_row((2, 1), "Phi") == {(2, 1): 1, (3,): Fraction(-1, 2)}
-    assert m_to_power_row((1, 2), "Phi") == {(1, 2): 1, (3,): Fraction(-1, 2)}
-    assert m_to_power_row((1, 1, 1), "Phi") == {
+    assert to_coords(M(2, 1), "Phi").coeffs == {(2, 1): 1, (3,): Fraction(-1, 2)}
+    assert to_coords(M(1, 2), "Phi").coeffs == {(1, 2): 1, (3,): Fraction(-1, 2)}
+    assert to_coords(M(1, 1, 1), "Phi").coeffs == {
         (1, 1, 1): Fraction(1, 6),
         (2, 1): Fraction(-1, 2),
         (1, 2): Fraction(-1, 2),
@@ -417,14 +417,14 @@ def test_transition_rows_degree_three():
 
 def test_transition_degree_zero_and_bad_variant():
     for variant in ("Psi", "Phi"):
-        assert m_to_power_row((), variant) == {(): 1}
-        assert power_to_m_row((), variant) == {(): 1}
+        assert to_coords(M(), variant).coeffs == {(): 1}
+        assert to_coords(QSym.basis_element(variant, ()), "M").coeffs == {(): 1}
         assert to_coords(QSym.unit("M"), variant) == QSym.unit(variant)
         assert to_coords(QSym.unit(variant), "M") == QSym.unit("M")
     with pytest.raises(ValueError):
-        m_to_power_row((1, 1), "psi")
+        to_coords(M(1, 1), "psi")
     with pytest.raises(ValueError):
-        power_to_m_row((1, 1), "psi")
+        QSym.basis_element("psi", (1, 1))
 
 
 @pytest.mark.parametrize("variant", ["Psi", "Phi"])
@@ -433,7 +433,7 @@ def test_transition_structure(n, variant):
     order = enumerate_compositions(n)
     position = {alpha: i for i, alpha in enumerate(order)}
     for beta in order:
-        row = m_to_power_row(beta, variant)
+        row = to_coords(M(*beta), variant).coeffs
         assert set(row) <= set(order)
         assert row[beta] == Fraction(math.prod(beta), z_of(sort_composition(beta)))
         for alpha in order:
@@ -512,6 +512,17 @@ def test_p_weights_match_the_whole_psi_conversion(n):
         psi = to_coords(q, "Psi")  # the reference: the whole conversion
         expected = {mu: z_of(mu) * c for mu, c in psi.coeffs.items() if sort_composition(mu) == mu}
         assert p_weights(q) == p_weights(psi) == p_weights(to_coords(q, "Phi")) == expected
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_p_weights_match_the_transition_count_oracle(n):
+    classes = enumerate_partitions(n)
+    builders = (homogeneous_sym, elementary_sym, monomial_sym)
+    for lam in classes:
+        weights = [p_weights(build(lam)) for build in builders]
+        for mu in classes:
+            expected = [oracle(lam, mu) for oracle in (h_weight, e_weight, m_weight)]
+            assert [w.get(mu, 0) for w in weights] == expected, (lam, mu)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

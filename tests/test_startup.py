@@ -46,6 +46,7 @@ def test_expand_loads_only_the_element_modules():
         "quasimm", "quasimm.cli", "quasimm.qsym", "quasimm.combinatorics"
     }
     assert "dataclasses" not in modules and "quasimm.engine" not in modules
+    assert "pathlib" not in modules
 
 
 def test_qimm_loads_neither_verification_nor_dataclasses(tmp_path):
@@ -54,6 +55,7 @@ def test_qimm_loads_neither_verification_nor_dataclasses(tmp_path):
     assert output == "10"
     assert "quasimm.engine" in modules
     assert "quasimm.verification" not in modules and "dataclasses" not in modules
+    assert "pathlib" not in modules
 
 
 def test_public_names_resolve_to_their_modules():
@@ -63,6 +65,26 @@ def test_public_names_resolve_to_their_modules():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
     assert quasimm.CoefficientTable is quasimm.engine.CoefficientTable
     assert set(quasimm.__all__) <= set(dir(quasimm))
+
+
+# Duplicates, wrappers and test-only oracles taken out of the package; the
+# oracles live in tests/oracles.py.
+REMOVED = {
+    "characters": ("ClassFunction", "epsilon_coeff", "phi_coeff"),
+    "combinatorics": (
+        "coarsenings", "descent_set", "dominance_order", "ell_stat", "lp_stat", "refines",
+        "split_blocks",
+    ),
+    "qsym": ("count_composition_tableaux", "m_to_power_row", "power_to_m_row"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_stay_out_of_the_package(module):
+    home = importlib.import_module(f"quasimm.{module}")
+    for name in REMOVED[module]:
+        assert name not in quasimm.__all__, name
+        assert not hasattr(home, name), name
 
 
 def test_unknown_attribute_raises():
