@@ -92,6 +92,7 @@ class CoefficientTable:
     def __init__(self, degree: int, key: str, values: dict, provenance: str = ""):
         if key not in ("ctype", "ccomp"):
             raise ValueError(f"unknown table key {key!r}; expected 'ctype' or 'ccomp'")
+        values = dict(values)  # a copy, so the checks below keep holding
         _check_classes(degree, key, values)
         for index, value in values.items():
             qsym._check_exact(value, f"weights (at the {key} class {index!r})")

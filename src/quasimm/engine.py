@@ -233,28 +233,24 @@ def monomial_immanant(a: SquareMatrix, lam) -> Fraction:
     return qimm(a, monomial_sym(lam))
 
 
-def qimm_coefficient_table(q: QSym, variant: str = "Psi", branch: str = "auto") -> CoefficientTable:
+def qimm_coefficient_table(q: QSym, variant: str = "Psi") -> CoefficientTable:
     """Materialize the per-class weights read from n! times the element q.
 
-    With branch "auto", a symmetric q is keyed by cycle type with weight
-    z_mu times its p_mu coefficient (the per-permutation reading of the
-    power-sum expansion), and any other q is keyed by cycle composition
-    with weight n! times its coordinate in the chosen power-sum variant.
-    Forcing "ccomp" on a symmetric element is allowed and scales each
-    class by n!/z_mu relative to the "ctype" keying.  Tables are cached,
-    and every spelling that yields the same table returns the same object.
+    A symmetric q is keyed by cycle type with weight z_mu times its p_mu
+    coefficient (the per-permutation reading of the power-sum expansion),
+    whatever the variant; any other q is keyed by cycle composition with
+    weight n! times its coordinate in the chosen power-sum variant.  Tables
+    are cached, and a symmetric q has one table under both variants.
     """
     if variant not in ("Psi", "Phi"):
         raise ValueError(f"unknown power-sum variant {variant!r}")
-    if branch not in ("auto", "ctype", "ccomp"):
-        raise ValueError(f"unknown branch {branch!r}")
-    return _coefficient_table(q, variant, branch)
+    return _coefficient_table(q, variant)
 
 
 @lru_cache(maxsize=128)  # a fixed bound, above any pool of elements used at once
-def _coefficient_table(q: QSym, variant: str | None, branch: str) -> CoefficientTable:
+def _coefficient_table(q: QSym, variant: str) -> CoefficientTable:
     n = q.degree()
-    if branch == "ccomp":
+    if not is_symmetric(q):
         coords = to_coords(q, variant).coeffs
         factorial = math.factorial(n)
         values = {
@@ -262,22 +258,18 @@ def _coefficient_table(q: QSym, variant: str | None, branch: str) -> Coefficient
             for alpha in enumerate_compositions(n)
         }
         return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
-    if variant is None:  # the one cycle-type entry, reached once q is known to be symmetric
-        weights = p_weights(q)
-        values = {mu: weights.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
-        return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
-    if is_symmetric(q):
-        return _coefficient_table(q, None, "ctype")
-    if branch == "ctype":
-        raise ValueError("cycle-type weighting needs a symmetric element")
-    return _coefficient_table(q, variant, "ccomp")
+    if variant != "Psi":  # the cycle-type table does not depend on the variant
+        return _coefficient_table(q, "Psi")
+    weights = p_weights(q)
+    values = {mu: weights.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
+    return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
 
 
 qimm_coefficient_table.cache_info = _coefficient_table.cache_info
 qimm_coefficient_table.cache_clear = _coefficient_table.cache_clear
 
 
-def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi", branch: str = "auto") -> Fraction:
+def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi") -> Fraction:
     """Quasi-immanant: permutation sum with weights read from n! times q.
 
     q must be homogeneous of degree equal to the matrix dimension.  The
@@ -287,11 +279,9 @@ def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi", branch: str = "auto") -
     """
     if not q.coeffs:
         return Fraction(0)
-    if not q.is_homogeneous():
-        raise ValueError("quasi-immanant needs a homogeneous element")
     if q.degree() != a.n:
         raise ValueError(f"element degree {q.degree()} does not match matrix dimension {a.n}")
-    return weighted_perm_sum(a, qimm_coefficient_table(q, variant, branch))
+    return weighted_perm_sum(a, qimm_coefficient_table(q, variant))
 
 
 def hook_qimm_coefficient(alpha) -> int:
@@ -321,7 +311,5 @@ def qimm_hook_fast(a: SquareMatrix) -> Fraction:
     qimm(a, quasischur((2,1,...,1)), "Psi").
     """
     n = a.n
-    if n < 3:
-        raise ValueError("hook evaluation needs dimension at least 3")
     values = {alpha: Fraction(hook_qimm_coefficient(alpha)) for alpha in enumerate_compositions(n)}
     return weighted_perm_sum(a, CoefficientTable(n, "ccomp", values, f"hook rule degree {n}"))

@@ -91,8 +91,6 @@ def c_sigma(sigma) -> int:
     Depends on sigma only through its cycle composition; see
     hook_qimm_coefficient for the three-case rule.
     """
-    if len(sigma) < 3:
-        raise ValueError("the per-permutation rule needs order at least 3")
     return hook_qimm_coefficient(cycle_composition(sigma))
 
 

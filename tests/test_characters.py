@@ -239,6 +239,17 @@ def test_incomplete_table_fails_whatever_the_matrix():
             weighted_perm_sum(SquareMatrix(matrix), CoefficientTable(2, "ccomp", values))
 
 
+def test_table_keeps_its_own_copy_of_the_weights():
+    from quasimm.engine import SquareMatrix, weighted_perm_sum
+
+    v = {(2,): 1, (1, 1): 1}
+    t = CoefficientTable(2, "ctype", v)
+    v[(2,)] = 0.1
+    del v[(1, 1)]
+    assert weighted_perm_sum(SquareMatrix([[0, 2], [3, 0]]), t) == 6
+    assert t.values == {(2,): 1, (1, 1): 1}
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_frobenius_of_characters(n):
     for lam in enumerate_partitions(n):

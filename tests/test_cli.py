@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -247,3 +248,70 @@ def test_toeplitz_command():
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli().returncode == 2
+
+
+# Each error path: the command line ({dir} is a folder holding the matrices
+# below), its exit code, and a fragment of the message.  Usage messages come
+# from the library's own checks.
+_ERROR_MATRICES = {
+    "primes.csv": PRIMES_CSV,
+    "small.csv": SMALL_CSV,
+    "one.csv": "5\n",
+    "huge.csv": "1" * 4301 + ",1\n1,1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        pytest.param(("expand", "m", "1,2"), 2, "partition parts must be weakly decreasing: (1, 2)",
+                     id="expand-not-a-partition"),
+        pytest.param(("qimm", "{dir}/small.csv", "qs", "2,1"), 2,
+                     "element degree 3 does not match matrix dimension 2", id="qimm-degree"),
+        pytest.param(("imm", "{dir}/primes.csv", "2,2"), 2,
+                     "table degree 4 does not match matrix dimension 3", id="imm-order"),
+        pytest.param(("imm", "{dir}/primes.csv", "1,2"), 2, "partition parts must be weakly decreasing",
+                     id="imm-not-a-partition"),
+        pytest.param(("imm", "{dir}/missing.csv", "1,2"), 2, "partition parts must be weakly decreasing",
+                     id="imm-shape-before-file"),
+        pytest.param(("d2", "{dir}/one.csv"), 2, "second immanant needs dimension at least 2",
+                     id="d2-one-by-one"),
+        pytest.param(("toeplitz", "0"), 2, "dimension must be at least 1", id="toeplitz-zero"),
+        pytest.param(("det", "{dir}/missing.csv"), 1, "cannot read matrix file", id="missing-matrix"),
+        pytest.param(("det", "{dir}/huge.csv"), 1, "malformed matrix in", id="entry-over-digit-limit"),
+    ],
+)
+def test_error_paths_report_one_line(tmp_path, args, code, message):
+    for name, text in _ERROR_MATRICES.items():
+        (tmp_path / name).write_text(text)
+    result = run_cli(*(arg.format(dir=tmp_path) for arg in args))
+    assert result.returncode == code
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_det_prints_results_past_the_digit_limit(tmp_path, capsys):
+    from quasimm import cli
+    from quasimm.engine import SquareMatrix, determinant_elimination
+
+    rng = random.Random(4500)
+    rows = [[str(rng.randrange(10**1499, 10**1500)) for _ in range(3)] for _ in range(3)]
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    result = run_cli("det", str(path))
+    assert result.returncode == 0, result.stderr
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert cli.main(["det", str(path)]) == 0  # in process, the limit is left as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert capsys.readouterr().out == result.stdout
+    assert len(result.stdout) > 4300
+    expected = determinant_elimination(SquareMatrix(rows))
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert result.stdout == f"{expected}\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -13,8 +14,6 @@ from quasimm.combinatorics import (
     enumerate_compositions,
     enumerate_partitions,
     enumerate_permutations,
-    sort_composition,
-    z_of,
 )
 from quasimm.engine import (
     CoefficientTable,
@@ -39,10 +38,11 @@ from quasimm.qsym import (
     QSym,
     elementary_sym,
     homogeneous_sym,
+    is_symmetric,
     monomial_sym,
-    power_sym,
     quasischur,
     schur_sym,
+    to_coords,
 )
 from oracles import e_weight, m_weight
 
@@ -383,8 +383,7 @@ def test_symmetric_element_spellings_share_one_table(monkeypatch):
     table = qimm_coefficient_table(e)
     assert table.key == "ctype"
     assert qimm_coefficient_table(e, "Psi") is table
-    assert qimm_coefficient_table(e, "Phi", "auto") is table
-    assert qimm_coefficient_table(e, branch="ctype") is table
+    assert qimm_coefficient_table(e, "Phi") is table
     assert readings == [e]
     assert conversions == []
 
@@ -398,36 +397,29 @@ def test_qimm_determinant_reduction(n):
         assert qimm(a, column) == determinant_elimination(a)
 
 
-def test_forced_composition_branch_rescales_classes():
-    for q in (elementary_sym((3,)), schur_sym((2, 1)), power_sym((2, 2))):
-        n = q.degree()
-        by_type = qimm_coefficient_table(q, branch="ctype")
-        by_comp = qimm_coefficient_table(q, branch="ccomp")
-        assert by_type.key == "ctype" and by_comp.key == "ccomp"
-        import math
-
-        for alpha in enumerate_compositions(n):
-            mu = sort_composition(alpha)
-            assert by_comp.values[alpha] * z_of(mu) == by_type.values[mu] * math.factorial(n)
-
-
-def test_forced_composition_branch_changes_the_functional():
-    e3 = elementary_sym((3,))
+def test_composition_keyed_table_recipe():
+    # The README recipe for a composition-keyed table of any element, here a
+    # symmetric one, which qimm itself keys by cycle type.
+    e3, n, variant = elementary_sym((3,)), 3, "Psi"
+    coords = to_coords(e3, variant).coeffs
+    values = {alpha: math.factorial(n) * coords.get(alpha, 0) for alpha in enumerate_compositions(n)}
+    table = CoefficientTable(n, "ccomp", values)
     assert qimm(ONES3, e3) == 0
-    assert qimm(ONES3, e3, branch="ccomp") == -4
+    assert weighted_perm_sum(ONES3, table) == -4
 
 
-def test_qimm_linearity_under_forced_branch():
+def test_qimm_linearity_on_non_symmetric_elements():
     rng = random.Random(444)
     x, y = Fraction(2, 3), Fraction(-5, 7)
     for n in (3, 4):
         q1 = quasischur((2,) + (1,) * (n - 2))
         q2 = QSym("M", {tuple([1] * (n - 2) + [2]): 1})
         combined = x * q1 + y * q2
+        # Each is read by the composition-keyed functional.
+        assert not any(map(is_symmetric, (q1, q2, combined)))
         for _ in range(3):
             a = _random_matrix(rng, n)
-            expected = x * qimm(a, q1, branch="ccomp") + y * qimm(a, q2, branch="ccomp")
-            assert qimm(a, combined, branch="ccomp") == expected
+            assert qimm(a, combined) == x * qimm(a, q1) + y * qimm(a, q2)
 
 
 def test_qimm_argument_validation():
@@ -438,10 +430,10 @@ def test_qimm_argument_validation():
         qimm(PRIMES, QSym.basis_element("M", (4,)))
     with pytest.raises(ValueError):
         qimm(PRIMES, quasischur((2, 1)), variant="psi")
-    with pytest.raises(ValueError):
-        qimm(PRIMES, quasischur((2, 1)), branch="class")
-    with pytest.raises(ValueError):
-        qimm_coefficient_table(QSym.basis_element("M", (1, 2)), branch="ctype")
+    with pytest.raises(TypeError):
+        qimm(PRIMES, quasischur((2, 1)), branch="ccomp")
+    with pytest.raises(TypeError):
+        qimm_coefficient_table(quasischur((2, 1)), branch="ccomp")
 
 
 def test_hook_coefficient_values():
@@ -483,15 +475,14 @@ _ORDER_TWO_WEIGHTS = {
     "monomial column": (lambda a, n: monomial_immanant(a, (1,) * n), (1, -1)),
 }
 for _variant in ("Psi", "Phi"):
-    for _branch in ("auto", "ccomp"):
-        _ORDER_TWO_WEIGHTS[f"qimm M[n] {_variant} {_branch}"] = (
-            lambda a, n, v=_variant, b=_branch: qimm(a, QSym.basis_element("M", (n,)), v, b),
-            (0, 2),
-        )
-        _ORDER_TWO_WEIGHTS[f"qimm M[1^n] {_variant} {_branch}"] = (
-            lambda a, n, v=_variant, b=_branch: qimm(a, QSym.basis_element("M", (1,) * n), v, b),
-            (1, -1),
-        )
+    _ORDER_TWO_WEIGHTS[f"qimm M[n] {_variant}"] = (
+        lambda a, n, v=_variant: qimm(a, QSym.basis_element("M", (n,)), v),
+        (0, 2),
+    )
+    _ORDER_TWO_WEIGHTS[f"qimm M[1^n] {_variant}"] = (
+        lambda a, n, v=_variant: qimm(a, QSym.basis_element("M", (1,) * n), v),
+        (1, -1),
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -512,6 +512,10 @@ def test_p_weights_match_the_whole_psi_conversion(n):
         psi = to_coords(q, "Psi")  # the reference: the whole conversion
         expected = {mu: z_of(mu) * c for mu, c in psi.coeffs.items() if sort_composition(mu) == mu}
         assert p_weights(q) == p_weights(psi) == p_weights(to_coords(q, "Phi")) == expected
+        # The Psi coordinate at every rearrangement alpha of mu is p_weights[mu]/z_mu.
+        for alpha in enumerate_compositions(n):
+            mu = sort_composition(alpha)
+            assert psi.coeffs.get(alpha, 0) == Fraction(expected.get(mu, 0), z_of(mu))
 
 
 @pytest.mark.parametrize("n", range(0, 8))
