@@ -130,9 +130,10 @@ def cmd_verify(args) -> int:
         "toeplitz": lambda: verification.verify_toeplitz(toeplitz_max),
         "all": lambda: verification.verify_all(hook_max, toeplitz_max),
     }
-    report = builders[args.scope]()
-    if not report.items:
-        raise UsageError(f"verify {args.scope} runs no checks with --max-n {args.max_n}")
+    try:
+        report = builders[args.scope]()
+    except ValueError as exc:  # a sweep of the scope selects no order
+        raise UsageError(f"verify {args.scope} with --max-n {args.max_n}: {exc}") from exc
     print(verification.render_table(report))
     if args.json:
         _write_json(args.json, report.to_json_dict())

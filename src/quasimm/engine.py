@@ -6,9 +6,13 @@ with a per-class weight vector.  The weights are a named CoefficientTable
 keyed by cycle type or by cycle composition: a character for the permanent,
 determinant and immanants, the hook rule for the fast hook path, and
 otherwise the table read from a quasisymmetric element, kept in one
-bounded LRU cache.  class_sums walks permutations cycle by cycle in
-integers, following only nonzero entries, so a sparse matrix never
-touches most of the n! terms.
+bounded LRU cache.  class_sums is a subset DP in integers: Held-Karp path
+sums give the sum of cyclic products on each index set, and chaining those
+cycles in min-first order gives the class sums.  Both stages visit only the
+index sets reachable along nonzero entries, never all 2^n: a dense matrix
+costs about 4^n/12 (covered set, cycle) pairs, 88 000 at n = 10 against
+10! leaves, and a banded one far fewer.  The permutation walk it replaced
+is a test oracle.
 """
 
 from __future__ import annotations
@@ -130,34 +134,50 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
 
     Returns ({alpha: integer sum}, scale): each row is scaled to integers by
     the lcm of its denominators, so a class sum is its integer over scale.
-    The walk goes cycle by cycle, each new cycle opening at the least index
-    not yet covered (the min-first order of combinatorics.cycles), so alpha
-    grows as it goes, and it follows only nonzero entries.
+    A subset DP in two stages, each visiting only the index sets it can
+    reach along nonzero entries.  First the cycle sums: W(T), the sum of
+    the cyclic products on T, from Held-Karp path sums that start at
+    s = min(T), step through indices above s and close back to s.  Then the
+    chaining: a covered set U grows by a cycle T with nonzero W(T) whose
+    minimum is the least index not in U (the min-first order of
+    combinatorics.cycles), appending |T| to each composition held at U.
     """
     n = a.n
     dense, scale = _integer_rows(a)
-    nonzero = [[(1 << j, j, v) for j, v in enumerate(ints) if v] for ints in dense]
-    full = (1 << n) - 1
-    sums = {}
-    # Open walks: (row i choosing sigma(i), start of the open cycle, indices
-    # covered so far, length of the open cycle, closed cycle lengths, product).
-    stack = [(0, 0, 1, 1, (), 1)]
-    while stack:
-        i, start, covered, length, alpha, prod = stack.pop()
-        if covered == full:  # the last index left must close the cycle
-            v = dense[i][start]
-            if v:
-                alpha += (length,)
-                sums[alpha] = sums.get(alpha, 0) + prod * v
-            continue
-        for bit, j, v in nonzero[i]:
-            if j == start:
-                low = ~covered & (covered + 1)
-                nxt = low.bit_length() - 1
-                stack.append((nxt, nxt, covered | low, 1, alpha + (length,), prod * v))
-            elif not covered & bit:
-                stack.append((j, start, covered | bit, length + 1, alpha, prod * v))
-    return sums, scale
+    nonzero = [[(j, v) for j, v in enumerate(ints) if v] for ints in dense]
+    cycles = []  # per start s: (T, |T|, W(T)) for each T with min(T) = s and W(T) != 0
+    for s in range(n):
+        found = []
+        layer = {1 << s: {s: 1}}  # paths from s, one more index per layer: mask -> {end: sum}
+        while layer:
+            grown = {}
+            for mask, ends in layer.items():
+                w = sum(p * dense[i][s] for i, p in ends.items())
+                if w:
+                    found.append((mask, mask.bit_count(), w))
+                for i, p in ends.items():
+                    for j, v in nonzero[i]:
+                        if j > s and not mask >> j & 1:
+                            step = grown.setdefault(mask | 1 << j, {})
+                            step[j] = step.get(j, 0) + p * v
+            layer = grown
+        cycles.append(found)
+    # Covered sets wait in a bucket by their least uncovered index, which
+    # every step raises; the full set is the one set in bucket n.
+    pending = [{} for _ in range(n + 1)]
+    pending[0][0] = {(): 1}
+    for s in range(n):
+        for covered, vector in pending[s].items():
+            for cycle, length, w in cycles[s]:
+                if cycle & covered:
+                    continue
+                union = covered | cycle
+                target = pending[(~union & (union + 1)).bit_length() - 1].setdefault(union, {})
+                for alpha, c in vector.items():
+                    alpha += (length,)
+                    target[alpha] = target.get(alpha, 0) + c * w
+        pending[s] = None
+    return pending[n].get((1 << n) - 1, {}), scale
 
 
 def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:

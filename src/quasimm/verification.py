@@ -126,6 +126,8 @@ def verify_hook_rule(n: int) -> Report:
 
 def verify_hook_rules(max_n: int = 6) -> Report:
     """The hook rule for each order from 3 to max_n."""
+    if max_n < 3:
+        raise ValueError(f"the hook-rule sweep starts at order 3, so {max_n} selects no order")
     report = Report()
     for n in range(3, max_n + 1):
         report = report.merge(verify_hook_rule(n))
@@ -160,6 +162,8 @@ def toeplitz_qimm_closed_form(n: int) -> Fraction:
 
 def verify_toeplitz(max_n: int = 8) -> Report:
     """Engine evaluations of the tridiagonal family against both closed forms."""
+    if max_n < 2:
+        raise ValueError(f"the Toeplitz sweep starts at order 2, so {max_n} selects no order")
     report = Report()
     for n in range(2, max_n + 1):
         matrix = toeplitz_tridiagonal(n)

@@ -218,6 +218,10 @@ def test_verify_scopes_with_bound(tmp_path):
     assert toeplitz.returncode == 0
     assert toeplitz.stdout.splitlines()[-1] == "7/7 checks passed"
 
+    least = run_cli("verify", "all", "--max-n", "3")
+    assert least.returncode == 0
+    assert least.stdout.splitlines()[-1] == "7/7 checks passed"
+
     out = tmp_path / "report.json"
     full = run_cli("verify", "all", "--max-n", "4", "--json", str(out))
     assert full.returncode == 0
@@ -228,7 +232,14 @@ def test_verify_scopes_with_bound(tmp_path):
 
 
 def test_verify_with_no_checks_is_usage_error():
-    for scope, bound in (("theorem4", "2"), ("toeplitz", "1")):
+    for scope, bound in (
+        ("theorem4", "2"),
+        ("toeplitz", "1"),
+        ("all", "-1"),
+        ("all", "0"),
+        ("all", "2"),
+        ("examples", "1"),
+    ):
         result = run_cli("verify", scope, "--max-n", bound)
         assert result.returncode == 2
         assert scope in result.stderr and f"--max-n {bound}" in result.stderr

@@ -219,6 +219,117 @@ def test_class_sum_contraction_matches_unpruned_sum(n):
             assert weighted_perm_sum(a, table) == _unpruned_sum(a, table)
 
 
+def _walk_class_sums(a):
+    """class_sums by walking every permutation with a nonzero product.
+
+    Each row is scaled by the lcm of its denominators, as class_sums does.
+    The walk goes cycle by cycle, each new cycle opening at the least index
+    not yet covered (the min-first order of combinatorics.cycles), so alpha
+    grows as it goes; a dense matrix costs n! leaves.
+    """
+    n, scale, dense = a.n, 1, []
+    for row in a.rows:
+        lcm = math.lcm(*(e.denominator for e in row))
+        scale *= lcm
+        dense.append([int(e * lcm) for e in row])
+    nonzero = [[(1 << j, j, v) for j, v in enumerate(ints) if v] for ints in dense]
+    full = (1 << n) - 1
+    sums = {}
+    # Open walks: (row i choosing sigma(i), start of the open cycle, indices
+    # covered so far, length of the open cycle, closed cycle lengths, product).
+    stack = [(0, 0, 1, 1, (), 1)]
+    while stack:
+        i, start, covered, length, alpha, prod = stack.pop()
+        if covered == full:  # the last index left must close the cycle
+            v = dense[i][start]
+            if v:
+                alpha += (length,)
+                sums[alpha] = sums.get(alpha, 0) + prod * v
+            continue
+        for bit, j, v in nonzero[i]:
+            if j == start:
+                low = ~covered & (covered + 1)
+                nxt = low.bit_length() - 1
+                stack.append((nxt, nxt, covered | low, 1, alpha + (length,), prod * v))
+            elif not covered & bit:
+                stack.append((j, start, covered | bit, length + 1, alpha, prod * v))
+    return sums, scale
+
+
+def _nonzero_sums(result):
+    # Either route may keep a class whose terms cancel.
+    sums, scale = result
+    return {alpha: s for alpha, s in sums.items() if s}, scale
+
+
+def _banded_matrix(rng, n, width):
+    return SquareMatrix(
+        [
+            [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 5)))
+                if abs(i - j) <= width
+                else 0
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def _sparse_40_matrix(rng, n):
+    rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in rng.sample(cells, k=round(0.4 * n * n)):
+        rows[i][j] = 0
+    return SquareMatrix(rows)
+
+
+_ORDER_EIGHT_INPUTS = {
+    "dense integer": lambda rng: _random_matrix(rng, 8),
+    "dense rational": lambda rng: _rational_matrix(rng, 8),
+    "band 1": lambda rng: _banded_matrix(rng, 8, 1),
+    "band 2": lambda rng: _banded_matrix(rng, 8, 2),
+    "band 3": lambda rng: _banded_matrix(rng, 8, 3),
+    "40% sparse": lambda rng: _sparse_40_matrix(rng, 8),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ORDER_EIGHT_INPUTS))
+def test_class_sums_match_the_walk_at_order_eight(kind):
+    a = _ORDER_EIGHT_INPUTS[kind](random.Random(f"walk {kind}"))
+    expected = _nonzero_sums(_walk_class_sums(a))
+    assert expected[0]  # every input has permutations with nonzero products
+    assert _nonzero_sums(class_sums(a)) == expected
+
+
+def test_class_sums_of_all_ones_at_order_eleven():
+    # The walk would visit 11! = 39.9 million leaves.  Class alpha holds
+    # prod_k (r_k - 1)!/(r_k - alpha_k)! permutations, r_k = n - alpha_1 - ...
+    # - alpha_(k-1): the k-th cycle opens at the least index left and picks
+    # its other alpha_k - 1 indices, in order, from the r_k - 1 others.
+    n = 11
+    expected = {}
+    for alpha in enumerate_compositions(n):
+        count, left = 1, n
+        for part in alpha:
+            count *= math.factorial(left - 1) // math.factorial(left - part)
+            left -= part
+        expected[alpha] = count
+    assert sum(expected.values()) == math.factorial(n)
+    assert class_sums(SquareMatrix([[1] * n] * n)) == (expected, 1)
+
+
+def test_tridiagonal_order_24_costs_no_2_to_the_n():
+    # The 75 025 permutations with a nonzero product are the compositions of
+    # 24 into 1s and 2s, one per class.  The DP reaches only the n + 1 prefix
+    # sets, so a pass over all 2^24 of them would show as a slow test.
+    a = _banded_matrix(random.Random(24), 24, 1)
+    walked = _walk_class_sums(a)
+    assert len(walked[0]) == 75025
+    assert class_sums(a) == walked
+    assert determinant(a) == determinant_elimination(a)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_sums_of_all_ones_count_each_class(n):
     counts = Counter(cycle_composition(sigma) for sigma in enumerate_permutations(n))

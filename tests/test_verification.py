@@ -98,6 +98,24 @@ def test_hook_rule_rejects_small_orders():
         verify_hook_rule(2)
 
 
+def test_sweeps_refuse_a_bound_that_selects_no_order():
+    # A sweep that selects no order would pass with nothing checked.
+    sweeps = (
+        (verification.verify_hook_rules, 3, "hook-rule sweep starts at order 3"),
+        (verify_toeplitz, 2, "Toeplitz sweep starts at order 2"),
+        (verify_worked_examples, 2, "Toeplitz sweep starts at order 2"),
+    )
+    for sweep, least, message in sweeps:
+        for bound in (-1, 0, least - 1):
+            with pytest.raises(ValueError, match=message):
+                sweep(bound)
+        assert sweep(least).all_pass
+    with pytest.raises(ValueError, match="hook-rule sweep"):
+        verify_all(hook_max=2, toeplitz_max=8)
+    with pytest.raises(ValueError, match="Toeplitz sweep"):
+        verify_all(hook_max=6, toeplitz_max=1)
+
+
 def test_toeplitz_matrices():
     assert toeplitz_tridiagonal(1) == SquareMatrix([[0]])
     assert toeplitz_tridiagonal(2) == SquareMatrix([[0, 1], [1, 0]])
