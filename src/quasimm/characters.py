@@ -82,8 +82,9 @@ class CoefficientTable:
     key is "ctype" (weights indexed by cycle type, defined on every
     partition of the degree) or "ccomp" (indexed by cycle composition,
     defined on every composition of the degree); a table whose classes are
-    not exactly these, or that holds a floating-point or boolean weight, is
-    refused.  provenance names the construction that produced the weights.
+    not exactly these, or that holds a floating-point, boolean or
+    non-numeric weight, is refused.  Every weight is stored as a Fraction.
+    provenance names the construction that produced the weights.
     Tables compare by their fields, and their attributes are read-only.
     """
 
@@ -96,6 +97,11 @@ class CoefficientTable:
         _check_classes(degree, key, values)
         for index, value in values.items():
             qsym._check_exact(value, f"weights (at the {key} class {index!r})")
+            try:
+                values[index] = Fraction(value)
+            except (TypeError, ValueError, OverflowError):
+                message = f"weight {value!r} at the {key} class {index!r} is not a number"
+                raise ValueError(message) from None
         for name, value in zip(self.__slots__, (degree, key, values, provenance)):
             object.__setattr__(self, name, value)
 

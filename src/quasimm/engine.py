@@ -2,7 +2,10 @@
 
 Every matrix function here is one weighted_perm_sum: the matrix's class
 sums, one exact sum of diagonal products per cycle composition, contracted
-with a per-class weight vector.  The weights are a named CoefficientTable
+with a per-class weight vector.  The whole pass runs in integers: rows are
+scaled to integers, and the contraction brings the weights over one common
+denominator (ctype class sums are first bucketed by cycle type), so one
+Fraction is built per call.  The weights are a named CoefficientTable
 keyed by cycle type or by cycle composition: a character for the permanent,
 determinant and immanants, the hook rule for the fast hook path, and
 otherwise the table read from a quasisymmetric element, kept in one
@@ -125,7 +128,7 @@ def _integer_rows(a: SquareMatrix) -> tuple[list, int]:
     for row in a.rows:
         lcm = math.lcm(*(e.denominator for e in row))
         scale *= lcm
-        rows.append([int(e * lcm) for e in row])
+        rows.append([e.numerator * (lcm // e.denominator) for e in row])
     return rows, scale
 
 
@@ -137,10 +140,11 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
     A subset DP in two stages, each visiting only the index sets it can
     reach along nonzero entries.  First the cycle sums: W(T), the sum of
     the cyclic products on T, from Held-Karp path sums that start at
-    s = min(T), step through indices above s and close back to s.  Then the
-    chaining: a covered set U grows by a cycle T with nonzero W(T) whose
-    minimum is the least index not in U (the min-first order of
-    combinatorics.cycles), appending |T| to each composition held at U.
+    s = min(T), step through indices above s and close back to s along
+    the nonzero entries of column s.  Then the chaining: a covered set U
+    grows by a cycle T with nonzero W(T) whose minimum is the least index
+    not in U (the min-first order of combinatorics.cycles), appending |T|
+    to each composition held at U.
     """
     n = a.n
     dense, scale = _integer_rows(a)
@@ -148,11 +152,12 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
     cycles = []  # per start s: (T, |T|, W(T)) for each T with min(T) = s and W(T) != 0
     for s in range(n):
         found = []
+        back = [(i, dense[i][s]) for i in range(s, n) if dense[i][s]]  # the entries closing a cycle
         layer = {1 << s: {s: 1}}  # paths from s, one more index per layer: mask -> {end: sum}
         while layer:
             grown = {}
             for mask, ends in layer.items():
-                w = sum(p * dense[i][s] for i, p in ends.items())
+                w = sum(ends[i] * v for i, v in back if i in ends)
                 if w:
                     found.append((mask, mask.bit_count(), w))
                 for i, p in ends.items():
@@ -183,15 +188,29 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
 def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
     """Sum over permutations of table weight times the product of picked entries.
 
-    The contraction of class_sums(a) with the table: a ccomp table reads
-    each cycle composition, a ctype table its sorted parts.
+    The contraction of class_sums(a) with the table, in integers: a ccomp
+    table reads each cycle composition; for a ctype table the class sums are
+    first added into one bucket per cycle type, p(n) of them, not 2^(n-1).
+    Each weight read (a Fraction, as CoefficientTable stores it) is brought
+    over den, the lcm of their denominators, so one Fraction is built per
+    call.
     """
     if table.degree != a.n:
         raise ValueError(f"table degree {table.degree} does not match matrix dimension {a.n}")
     sums, scale = class_sums(a)
-    values, ctype = table.values, table.key == "ctype"
-    total = sum(values[sort_composition(alpha) if ctype else alpha] * s for alpha, s in sums.items())
-    return Fraction(total) / scale
+    values = table.values
+    if table.key == "ctype":
+        buckets = {}
+        for alpha, s in sums.items():
+            mu = sort_composition(alpha)
+            buckets[mu] = buckets.get(mu, 0) + s
+        sums = buckets
+    den = math.lcm(*(values[index].denominator for index in sums))
+    total = 0
+    for index, s in sums.items():
+        w = values[index]
+        total += w.numerator * (den // w.denominator) * s
+    return Fraction(total, den * scale)
 
 
 def permanent(a: SquareMatrix) -> Fraction:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,24 @@ def test_table_refuses_float_and_boolean_weights():
         weighted_perm_sum(a, CoefficientTable(2, "ctype", {(2,): 0.1, (1, 1): True}))
     with pytest.raises(ValueError, match=r"boolean weights \(at the ccomp class \(1, 1\)\)"):
         CoefficientTable(2, "ccomp", {(2,): 1, (1, 1): True})
+
+
+@pytest.mark.parametrize(
+    "weight", ["x", None, 1j, Decimal("NaN")], ids=["text", "none", "complex", "nan"]
+)
+def test_table_refuses_non_numeric_weights(weight):
+    with pytest.raises(ValueError, match=r"at the ctype class \(2,\) is not a number"):
+        CoefficientTable(2, "ctype", {(2,): weight, (1, 1): 1})
+
+
+def test_table_stores_every_weight_as_a_fraction():
+    from quasimm.engine import SquareMatrix, weighted_perm_sum
+
+    table = CoefficientTable(2, "ccomp", {(2,): Decimal("0.5"), (1, 1): 3}, "mixed")
+    assert all(type(w) is Fraction for w in table.values.values())
+    assert table.values == {(2,): Fraction(1, 2), (1, 1): Fraction(3)}
+    # 3 * (1 * 4) + (1/2) * (2 * 3): the Decimal weight reads as its exact value.
+    assert weighted_perm_sum(SquareMatrix([[1, 2], [3, 4]]), table) == 15
 
 
 def test_incomplete_table_fails_whatever_the_matrix():

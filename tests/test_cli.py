@@ -1,9 +1,16 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import quasimm
+
+# The child finds the package where this process found it, from any shell.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(quasimm.__file__).parent.parent))
 
 PRIMES_CSV = "2,3,5\n7,11,13\n17,19,23\n"
 SMALL_CSV = "1,2\n3,4\n"
@@ -15,6 +22,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=CHILD_ENV,
     )
 
 

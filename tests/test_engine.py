@@ -219,6 +219,40 @@ def test_class_sum_contraction_matches_unpruned_sum(n):
             assert weighted_perm_sum(a, table) == _unpruned_sum(a, table)
 
 
+def _mixed_ctype_table(rng, n):
+    """Distinct numerators over denominators 1..7, with negatives and one zero."""
+    partitions = enumerate_partitions(n)
+    numerators = rng.sample(range(-10 * len(partitions), 10 * len(partitions)), len(partitions))
+    values = {mu: Fraction(k, rng.randint(1, 7)) for mu, k in zip(partitions, numerators)}
+    values[rng.choice(partitions)] = Fraction(0)
+    return CoefficientTable(n, "ctype", values, "mixed denominators")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mixed_denominator_ctype_weights_match_unpruned_sum(n):
+    rng = random.Random(4300 + n)
+    table = _mixed_ctype_table(rng, n)
+    denominators = {w.denominator for w in table.values.values()}
+    assert n < 3 or len(denominators) > 1
+    for a in _oracle_matrices(rng, n):
+        assert weighted_perm_sum(a, table) == _unpruned_sum(a, table)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ctype_table_equals_its_spread_ccomp_table(n):
+    # Bucketing the class sums by cycle type before the weights are applied
+    # must give what reading the same weight at every composition gives.
+    rng = random.Random(4400 + n)
+    zero_row = [list(row) for row in _rational_matrix(rng, n).rows]
+    zero_row[rng.randrange(n)] = [0] * n
+    matrices = (_rational_matrix(rng, n), _banded_matrix(rng, n, 1), SquareMatrix(zero_row))
+    ctype = _mixed_ctype_table(rng, n)
+    spread = {alpha: ctype(sorted(alpha, reverse=True)) for alpha in enumerate_compositions(n)}
+    spread = CoefficientTable(n, "ccomp", spread)
+    for a in matrices:
+        assert weighted_perm_sum(a, ctype) == weighted_perm_sum(a, spread)
+
+
 def _walk_class_sums(a):
     """class_sums by walking every permutation with a nonzero product.
 
@@ -327,6 +361,34 @@ def test_tridiagonal_order_24_costs_no_2_to_the_n():
     walked = _walk_class_sums(a)
     assert len(walked[0]) == 75025
     assert class_sums(a) == walked
+    assert determinant(a) == determinant_elimination(a)
+
+
+def test_tridiagonal_order_20_against_closed_forms():
+    # 10 946 classes, one permutation each.  The permanent of a tridiagonal
+    # matrix is the continuant p_k = d_k p_(k-1) + b_(k-1) c_(k-1) p_(k-2)
+    # (b above the diagonal, c below), computed here from the entries alone.
+    rng = random.Random(20)
+    n = 20
+
+    def entries(count):
+        return [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7)))
+            for _ in range(count)
+        ]
+
+    d, b, c = entries(n), entries(n - 1), entries(n - 1)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = d[k]
+    for k in range(n - 1):
+        rows[k][k + 1], rows[k + 1][k] = b[k], c[k]
+    before, p = Fraction(1), d[0]
+    for k in range(1, n):
+        before, p = p, d[k] * p + b[k - 1] * c[k - 1] * before
+    a = SquareMatrix(rows)
+    assert len(class_sums(a)[0]) == 10946
+    assert permanent(a) == p
     assert determinant(a) == determinant_elimination(a)
 
 
