@@ -107,50 +107,36 @@ def dominance_key(alpha) -> tuple:
     return (sort_composition(alpha), tuple(alpha))
 
 
-def weighted_coarsenings(beta, block_weight, partitions=False) -> list[tuple[Composition, object]]:
-    """Each coarsening of beta, with the product of block_weight over its merged blocks.
-
-    Built from the right end: the coarsenings of beta[i:] extend those of
-    beta[j:] by the block beta[i:j], so each block is weighed once and each
-    of the 2^(len(beta)-1) coarsenings costs one product.  With partitions
-    set, only the weakly decreasing coarsenings are kept: a tail whose first
-    part exceeds the block placed before it is dropped, and a block stops
-    growing once it exceeds the sum of all the parts before it.
-    """
-    ell = len(beta)
-    head = sum(beta)  # lowered to the sum of beta[:i] as i falls
-    tails = [[((), 1)]]  # tails[k]: the (kept) coarsenings of the last k parts
-    for i in range(ell - 1, -1, -1):
-        head -= beta[i]
-        rows, part = [], 0
-        for j in range(i + 1, ell + 1):
-            part += beta[j - 1]  # the sum of the block beta[i:j]
-            if partitions and i and part > head:
-                break
-            weight = block_weight(beta[i:j])
-            for rest, w in tails[ell - j]:  # each row list grows by ascending first part
-                if partitions and rest and rest[0] > part:
-                    break
-                rows.append(((part,) + rest, weight * w))
-        tails.append(rows)
-    return tails[-1]
-
-
 def enumerate_compositions(n: int) -> list[Composition]:
     """All compositions of n, in descending dominance order."""
+    return sorted(compositions(n), key=dominance_key, reverse=True)
+
+
+def compositions(n: int) -> list[Composition]:
+    """All compositions of n, unsorted.
+
+    Each composition of n-1 grows into two: with a new last part 1, and
+    with its last part one larger.
+    """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if n == 0:
-        return [()]
-    comps = [mask_composition(n, mask) for mask in range(1 << (n - 1))]
-    comps.sort(key=dominance_key, reverse=True)
+    comps = [(1,)] if n else [()]
+    for _ in range(n - 1):
+        comps = [c + (1,) for c in comps] + [c[:-1] + (c[-1] + 1,) for c in comps]
     return comps
 
 
 def mask_composition(n: int, mask: int) -> Composition:
     """The composition of n whose descent set is {i : bit i-1 of mask is set}."""
-    cuts = [i for i in range(1, n) if mask >> (i - 1) & 1]
-    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n])) if n else ()
+    if not n:
+        return ()
+    parts, last = [], 0
+    while mask:
+        cut = (mask & -mask).bit_length()
+        parts.append(cut - last)
+        mask, last = mask & (mask - 1), cut
+    parts.append(n - last)
+    return tuple(parts)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

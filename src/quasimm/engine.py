@@ -36,8 +36,8 @@ from .characters import (
 )
 from .combinatorics import (
     as_composition,
+    compositions,
     count_perms_with_ctype,
-    enumerate_compositions,
     enumerate_partitions,
     sort_composition,
 )
@@ -290,12 +290,9 @@ def qimm_coefficient_table(q: QSym, variant: str = "Psi") -> CoefficientTable:
 def _coefficient_table(q: QSym, variant: str) -> CoefficientTable:
     n = q.degree()
     if not is_symmetric(q):
-        coords = to_coords(q, variant).coeffs
         factorial = math.factorial(n)
-        values = {
-            alpha: factorial * coords.get(alpha, Fraction(0))
-            for alpha in enumerate_compositions(n)
-        }
+        values = dict.fromkeys(compositions(n), Fraction(0))
+        values.update((alpha, factorial * c) for alpha, c in to_coords(q, variant).coeffs.items())
         return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
     if variant != "Psi":  # the cycle-type table does not depend on the variant
         return _coefficient_table(q, "Psi")
@@ -350,5 +347,5 @@ def qimm_hook_fast(a: SquareMatrix) -> Fraction:
     qimm(a, quasischur((2,1,...,1)), "Psi").
     """
     n = a.n
-    values = {alpha: Fraction(hook_qimm_coefficient(alpha)) for alpha in enumerate_compositions(n)}
+    values = {alpha: Fraction(hook_qimm_coefficient(alpha)) for alpha in compositions(n)}
     return weighted_perm_sum(a, CoefficientTable(n, "ccomp", values, f"hook rule degree {n}"))

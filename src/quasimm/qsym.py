@@ -4,8 +4,8 @@ The monomial basis M_alpha is the working representation.  Classical
 symmetric bases (m, p, e, h) are embedded through the quasi-shuffle
 product, Schur and quasi-Schur elements come from standard tableaux via
 fundamental quasisymmetric functions, and the two power-sum coordinate
-systems (Psi and Phi) are reached term by term through closed-form rows
-against M.
+systems (Psi and Phi) are reached from M, and M from them, by one integer
+pass over the descent masks that sums the closed-form rows of all terms.
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .combinatorics import (
     as_composition,
     as_partition,
+    compositions,
     dominance_key,
-    enumerate_compositions,
     format_parts,
     mask_composition,
     sort_composition,
-    weighted_coarsenings,
     z_of,
     z_of_composition,
 )
@@ -63,6 +62,13 @@ class QSym:
         self._hash = None
 
     @classmethod
+    def _made(cls, basis: str, coeffs: dict) -> "QSym":
+        """An element from terms the library built itself: compositions to nonzero Fractions."""
+        q = object.__new__(cls)
+        q.basis, q.coeffs, q._hash = basis, coeffs, None
+        return q
+
+    @classmethod
     def zero(cls, basis: str = "M") -> "QSym":
         return cls(basis)
 
@@ -91,11 +97,11 @@ class QSym:
             raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
         merged = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
-            merged[alpha] = merged.get(alpha, Fraction(0)) + c
-        return QSym(self.basis, merged)
+            merged[alpha] = merged.get(alpha, 0) + c
+        return QSym._made(self.basis, {a: c for a, c in merged.items() if c})
 
     def __neg__(self):
-        return QSym(self.basis, {a: -c for a, c in self.coeffs.items()})
+        return QSym._made(self.basis, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, QSym):
@@ -107,7 +113,7 @@ class QSym:
             return m_product(self, other)
         _check_exact(other, "scalars")
         scalar = Fraction(other)
-        return QSym(self.basis, {a: c * scalar for a, c in self.coeffs.items()})
+        return QSym._made(self.basis, {a: c * scalar for a, c in self.coeffs.items() if scalar})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -168,17 +174,27 @@ def _shuffle(alpha, beta, memo: dict) -> dict:
 
 
 def m_product(x: QSym, y: QSym) -> QSym:
-    """Bilinear quasi-shuffle product of two elements in M coordinates."""
+    """Bilinear quasi-shuffle product of two elements in M coordinates.
+
+    Both factors are scaled to integer coefficients, so the products
+    accumulate in integers and one Fraction is built per term.
+    """
     if x.basis != "M" or y.basis != "M":
         raise ValueError("m_product needs both factors in M coordinates")
-    acc: defaultdict = defaultdict(Fraction)
+    (xs, sx), (ys, sy) = _integer_terms(x.coeffs), _integer_terms(y.coeffs)
+    acc: defaultdict = defaultdict(int)
     memo: dict = {}
-    for alpha, ca in x.coeffs.items():
-        for beta, cb in y.coeffs.items():
-            weight = ca * cb
+    for alpha, a in xs:
+        for beta, b in ys:
+            weight = a * b
             for gamma, m in _shuffle(alpha, beta, memo).items():
                 acc[gamma] += m * weight
-    return QSym("M", acc)
+    return QSym._made("M", {gamma: Fraction(c, sx * sy) for gamma, c in acc.items() if c})
+
+
+def _product(factors) -> QSym:
+    """The product of the factors, from the first one on; the unit when there are none."""
+    return reduce(m_product, factors) if factors else QSym.unit("M")
 
 
 def monomial_sym(lam) -> QSym:
@@ -188,7 +204,7 @@ def monomial_sym(lam) -> QSym:
 
 @lru_cache(maxsize=128)
 def _monomial_sym(lam) -> QSym:
-    return QSym("M", dict.fromkeys(_rearrangements(lam), 1))
+    return QSym._made("M", dict.fromkeys(_rearrangements(lam), Fraction(1)))
 
 
 def _rearrangements(parts: tuple) -> list:
@@ -210,10 +226,7 @@ def power_sym(lam) -> QSym:
 
 @lru_cache(maxsize=128)
 def _power_sym(lam) -> QSym:
-    out = QSym.unit("M")
-    for k in lam:
-        out = out * QSym.basis_element("M", (k,))
-    return out
+    return _product([QSym.basis_element("M", (k,)) for k in lam])
 
 
 def elementary_sym(lam) -> QSym:
@@ -223,10 +236,7 @@ def elementary_sym(lam) -> QSym:
 
 @lru_cache(maxsize=128)
 def _elementary_sym(lam) -> QSym:
-    out = QSym.unit("M")
-    for k in lam:
-        out = out * QSym.basis_element("M", (1,) * k)
-    return out
+    return _product([QSym.basis_element("M", (1,) * k) for k in lam])
 
 
 def homogeneous_sym(lam) -> QSym:
@@ -236,10 +246,7 @@ def homogeneous_sym(lam) -> QSym:
 
 @lru_cache(maxsize=128)
 def _homogeneous_sym(lam) -> QSym:
-    out = QSym.unit("M")
-    for k in lam:
-        out = out * QSym("M", {alpha: 1 for alpha in enumerate_compositions(k)})
-    return out
+    return _product([QSym._made("M", dict.fromkeys(compositions(k), Fraction(1))) for k in lam])
 
 
 def schur_sym(lam) -> QSym:
@@ -343,59 +350,159 @@ def _from_fundamentals(n, counts) -> QSym:
             if not extra:
                 break
             extra = (extra - 1) & free
-    return QSym("M", {mask_composition(n, mask): c for mask, c in coeffs.items() if c})
+    out = {mask_composition(n, mask): Fraction(c) for mask, c in coeffs.items() if c}
+    return QSym._made("M", out)
 
 
-# Closed-form rows (Ballantine, Daugherty, Hicks, Mason and Niese, "On
-# quasisymmetric power sums").  Merging a block b of consecutive parts into
-# one part contributes the factor below; a row's entry is the product of its
-# blocks' factors, then divided by z of the coarsening (M to power sums) or
-# multiplied by z of the row's own index (power sums to M).  The products are
-# the signed lp(beta,alpha) and prod(alpha)/ell(beta,alpha), and 1/pi(alpha,beta)
-# and 1/sp(alpha,beta).  The Phi factor is taken times unit = lcm(1..n).
-_TO_POWER = {
-    "Psi": lambda b, unit=1: -b[-1] if len(b) % 2 == 0 else b[-1],
-    "Phi": lambda b, unit: sum(b) * unit // len(b) * (-1 if len(b) % 2 == 0 else 1),
-}
-_TO_M = {
-    "Psi": lambda b: Fraction(1, math.prod(itertools.accumulate(b))),
-    "Phi": lambda b: Fraction(1, math.factorial(len(b)) * math.prod(b)),
-}
+# Closed-form rows (Ballantine, Daugherty, Hicks, Mason and Niese,
+# "Quasisymmetric power sums").  The row from alpha to a coarsening beta is a
+# product over beta's blocks b (the parts of alpha merged into one part), and
+# from M signed by (-1)^(len(alpha)-len(beta)): M to Psi takes the last part
+# of b, M to Phi sum(b)/len(b), both over z_beta; Psi to M takes 1/pi(b), pi
+# being the product of the partial sums, and Phi to M 1/(len(b)! prod(b)),
+# both times z_alpha.  A block's factor builds up cut by cut, so one pass over
+# the descent masks of each degree sums the rows of all terms at once.  Only
+# submasks of the input's masks are reached: never 2^(n-1) for a sparse input.
 
 
 def to_coords(q: QSym, target: str) -> QSym:
-    """Coordinates of q in the target basis, one closed-form row per term."""
+    """Coordinates of q in the target basis, by one pass over the descent masks per degree.
+
+    M goes to Psi or Phi by _to_power and back by _to_m; Psi and Phi go to
+    each other through M.  Coefficients stay integers over one scale, and
+    one Fraction is built per output term.
+    """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
     if q.basis == target:
         return q
     if q.basis != "M":
-        terms = ((alpha, c * z_of_composition(alpha)) for alpha, c in q.coeffs.items())
-        q = QSym("M", _merge_blocks(terms, _TO_M[q.basis]))
+        phi = q.basis == "Phi"  # prod(b) over the blocks is prod(alpha): taken up front
+        terms, scale = _integer_terms(
+            {a: c * z_of_composition(a) / (math.prod(a) if phi else 1) for a, c in q.coeffs.items()}
+        )
+        sums = _mask_pass(terms, True, _to_m, phi)
+        out = {a: Fraction(s, scale * math.factorial(sum(a))) for a, s in sums.items()}
+        q = QSym._made("M", out)
         if target == "M":
             return q
-    # Scaled to integer coefficients, the sums stay in integer arithmetic; a
-    # coarsening alpha has len(alpha) blocks, so it carries unit^len(alpha).
-    terms, scale = _integer_terms(q)
-    unit = math.lcm(*range(1, max(map(sum, q.coeffs), default=0) + 1)) if target == "Phi" else 1
-    sums = _merge_blocks(terms, lambda b: _TO_POWER[target](b, unit))
-    out = {a: Fraction(s, scale * z_of_composition(a) * unit ** len(a)) for a, s in sums.items()}
-    return QSym(target, out)
+    phi = target == "Phi"
+    terms, scale = _integer_terms(q.coeffs)
+    sums = _mask_pass(terms, phi, _to_power, phi)
+    out = {
+        a: Fraction(s, scale * z_of_composition(a) * (math.factorial(sum(a)) if phi else 1))
+        for a, s in sums.items()
+    }
+    return QSym._made(target, out)
 
 
-def _integer_terms(q: QSym):
-    """q's terms with coefficients times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(c.denominator for c in q.coeffs.values()))
-    return ((beta, c.numerator * (scale // c.denominator)) for beta, c in q.coeffs.items()), scale
+def _mask_pass(terms, factorial: bool, run, *args) -> dict:
+    """{composition: integer} of run(n, {mask: c}, *args) at each degree n of the terms (alpha, c).
+
+    With factorial set, each c enters times n!: then every division of a
+    pass is exact, as the divisors met along one term's path multiply to a
+    divisor of n!.
+    """
+    degrees: defaultdict = defaultdict(dict)
+    for alpha, c in terms:
+        mask = total = 0
+        for part in alpha[:-1]:
+            total += part
+            mask |= 1 << (total - 1)
+        n = sum(alpha)
+        degrees[n][mask] = c * math.factorial(n) if factorial else c
+    return {
+        mask_composition(n, mask): s
+        for n, values in degrees.items()
+        for mask, s in run(n, values, *args).items()
+        if s
+    }
 
 
-def _merge_blocks(terms, factor, partitions=False) -> dict:
-    """Sum over (index, c) of c times each coarsening of index, weighted by its blocks."""
-    out: defaultdict = defaultdict(int)
-    for index, c in terms:
-        for coarser, w in weighted_coarsenings(index, factor, partitions):
-            out[coarser] += c * w
-    return out
+def _to_power(n, values: dict, phi: bool, partitions: bool = False) -> dict:
+    """The M-to-Psi (or Phi) rows of degree n summed over values: mask -> integer, over z.
+
+    The cuts go from n-1 down to 1, then cut 0 closes the first block.  A
+    mask holds a value per number k of input parts met in its open block:
+    slot k-1 for Phi; for Psi, slot 0 for k = 1 and slot 1 for more.  At an
+    input cut i, d below the end of the open block, keeping the cut closes
+    the block with its factor (Psi's last part d if k = 1, else taken
+    already; Phi's d/k); dropping it moves the values, sign flipped, to the
+    mask without it, one part further (Psi's times d if k = 1).  With
+    partitions set, a block closes only if it is no smaller than the closed
+    block on its right and no larger than the i cells on its left.
+    """
+    states = {mask: [v, 0] for mask, v in values.items()}
+    for i in range(n - 1, -1, -1):
+        bit = (1 << i) >> 1
+        for mask in [mask for mask in states if mask & bit] if i else list(states):
+            held = states[mask]
+            above = mask >> i
+            d = (above & -above).bit_length() if above else n - i
+            if phi:
+                kept = sum(v // k for k, v in enumerate(held, 1) if v) * d
+            else:
+                kept = held[0] * d + held[1]
+            drop = mask ^ bit
+            if partitions and d > i > 0:
+                # No cut at or below i can close this block any more: all are
+                # dropped at once, each but this one flipping the sign again.
+                low = mask & ((bit << 1) - 1)
+                drop, kept = mask ^ low, kept if low.bit_count() % 2 else -kept
+            if i:
+                into = states.get(drop) or states.setdefault(drop, [0, 0])
+                if phi:
+                    into.extend([0] * (len(held) + 1 - len(into)))
+                    for k, v in enumerate(held, 1):
+                        into[k] -= v
+                else:
+                    into[1] -= kept
+            if partitions:
+                rest = above >> d  # the cuts right of the block
+                last = (rest & -rest).bit_length() if rest else (n - i - d if above else 0)
+                if d < last or d > i > 0:
+                    del states[mask]
+                    continue
+            states[mask] = [kept, 0]
+    return {mask: held[0] for mask, held in states.items()}
+
+
+def _to_m(n, values: dict, phi: bool) -> dict:
+    """The Psi-to-M (or Phi-to-M) rows of degree n summed over values: mask -> integer.
+
+    values are coefficients times z_alpha (for Phi over prod(alpha)).  The
+    cuts go from 1 up to n-1, then cut n closes the last block.  An input
+    cut i, d above the start of its block, ends a part of it, kept or
+    dropped: Psi divides by d, the block's partial sum there; Phi divides
+    by k, the part's place in the block (slot k-1 of the mask's values), so
+    that a block of l parts divides by l!.  A dropped cut moves the values
+    to the mask without it, Phi's one part further.
+    """
+    states = {mask: [v] for mask, v in values.items()}
+    for i in range(1, n + 1):
+        bit = 1 << (i - 1)
+        for mask in [mask for mask in states if mask & bit] if i < n else list(states):
+            held = states[mask]
+            if phi:
+                parts = [v // k for k, v in enumerate(held, 1)]
+            else:
+                parts = [held[0] // (i - (mask & (bit - 1)).bit_length())]
+            if i < n:
+                into = states.get(mask ^ bit) or states.setdefault(mask ^ bit, [0])
+                if phi:
+                    into.extend([0] * (len(parts) + 1 - len(into)))
+                    for k, v in enumerate(parts, 1):
+                        into[k] += v
+                else:
+                    into[0] += parts[0]
+            states[mask] = [sum(parts)]
+    return {mask: held[0] for mask, held in states.items()}
+
+
+def _integer_terms(coeffs: dict):
+    """The terms with coefficients times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    return [(beta, c.numerator * (scale // c.denominator)) for beta, c in coeffs.items()], scale
 
 
 def _rearrangement_count(lam) -> int:
@@ -427,15 +534,17 @@ def p_weights(q: QSym) -> dict:
 
     The p_mu coefficient of a symmetric element is its Psi coordinate at mu,
     and its Phi coordinate there too.  A Psi or Phi element is read as it
-    stands; from M only the weakly decreasing coarsenings of each term are
-    summed, and z_mu cancels the 1/z_mu of the M-to-Psi row.  Symmetry is
-    not checked here.
+    stands.  From M, the M-to-Psi mask pass runs without the final 1/z_mu
+    and drops every mask whose closed blocks cannot end as a partition, so
+    its cost follows the reachable prefixes of partitions (for e_30, 37 077
+    mask visits for its 5604 partitions), not the 2^(n-1) masks of each
+    term.  Symmetry is not checked here.
     """
     if q.basis != "M":
         return {mu: z_of(mu) * c for mu, c in q.coeffs.items() if sort_composition(mu) == mu}
-    terms, scale = _integer_terms(q)
-    sums = _merge_blocks(terms, _TO_POWER["Psi"], partitions=True)
-    return {mu: Fraction(s, scale) for mu, s in sums.items() if s}
+    terms, scale = _integer_terms(q.coeffs)
+    sums = _mask_pass(terms, False, _to_power, False, True)
+    return {mu: Fraction(s, scale) for mu, s in sums.items()}
 
 
 def p_coefficient(q: QSym, lam) -> Fraction:

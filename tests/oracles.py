@@ -1,7 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 They favour the definition over speed: block statistics read off explicit
-descent sets, composition tableaux counted filling by filling, and the
+descent sets, coordinates summed one closed-form row entry at a time over
+the coarsenings of each term, composition tableaux counted filling by
+filling, and the
 symmetric-function weights of h, e and m counted from the classical
 expansion p_mu = sum over lam of R(mu, lam) m_lam, where R(mu, lam) is the
 number of ways to deal the parts of mu into ordered blocks with sums
@@ -11,6 +13,7 @@ The weights share no code with quasimm's coordinate changes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cache
@@ -20,8 +23,8 @@ from quasimm.combinatorics import (
     as_partition,
     dominance_key,
     enumerate_partitions,
-    weighted_coarsenings,
     z_of,
+    z_of_composition,
 )
 from quasimm.qsym import _admissible
 
@@ -76,6 +79,84 @@ def dominance_order(alpha, beta) -> int:
         raise ValueError("dominance compares compositions of equal order")
     ka, kb = dominance_key(alpha), dominance_key(beta)
     return (ka > kb) - (ka < kb)
+
+
+def weighted_coarsenings(beta, block_weight, partitions=False) -> list[tuple[tuple, object]]:
+    """Each coarsening of beta, with the product of block_weight over its merged blocks.
+
+    The reference for qsym's mask passes: summed over the terms of an
+    element with the closed-form block factors, the rows give its
+    coordinates one coarsening at a time, as quasimm once computed them.
+    Built from the right end: the coarsenings of beta[i:] extend those of
+    beta[j:] by the block beta[i:j], so each block is weighed once and each
+    of the 2^(len(beta)-1) coarsenings costs one product.  With partitions
+    set, only the weakly decreasing coarsenings are kept: a tail whose first
+    part exceeds the block placed before it is dropped, and a block stops
+    growing once it exceeds the sum of all the parts before it.
+    """
+    ell = len(beta)
+    head = sum(beta)  # lowered to the sum of beta[:i] as i falls
+    tails = [[((), 1)]]  # tails[k]: the (kept) coarsenings of the last k parts
+    for i in range(ell - 1, -1, -1):
+        head -= beta[i]
+        rows, part = [], 0
+        for j in range(i + 1, ell + 1):
+            part += beta[j - 1]  # the sum of the block beta[i:j]
+            if partitions and i and part > head:
+                break
+            weight = block_weight(beta[i:j])
+            for rest, w in tails[ell - j]:  # each row list grows by ascending first part
+                if partitions and rest and rest[0] > part:
+                    break
+                rows.append(((part,) + rest, weight * w))
+        tails.append(rows)
+    return tails[-1]
+
+
+def _sum_rows(terms, block_weight, partitions=False) -> dict:
+    """Sum over terms (index, c) of c times each coarsening of index, weighted by its blocks."""
+    out: dict = {}
+    for index, c in terms:
+        for coarser, w in weighted_coarsenings(index, block_weight, partitions):
+            out[coarser] = out.get(coarser, 0) + c * w
+    return {alpha: s for alpha, s in out.items() if s}
+
+
+def _signed(weight):
+    return lambda b: -weight(b) if len(b) % 2 == 0 else weight(b)
+
+
+def coordinates_by_rows(q, target) -> dict:
+    """The coordinates of q in target, summed one closed-form row entry at a time.
+
+    The block factors are those of the rows (Ballantine, Daugherty, Hicks,
+    Mason and Niese): Psi and Phi reach M with the Fractions 1/pi(b) and
+    1/(len(b)! prod(b)) over the coarsenings of each term times z_alpha;
+    M reaches Psi with the signed last part of each block, and Phi with
+    the signed sum(b) unit/len(b), unit = lcm(1..n) for the largest degree
+    n, so that a coarsening alpha carries unit^len(alpha) and z_alpha.
+    """
+    coeffs = dict(q.coeffs)
+    if q.basis != "M":
+        to_m = {
+            "Psi": lambda b: Fraction(1, math.prod(itertools.accumulate(b))),
+            "Phi": lambda b: Fraction(1, math.factorial(len(b)) * math.prod(b)),
+        }[q.basis]
+        coeffs = _sum_rows(((a, c * z_of_composition(a)) for a, c in coeffs.items()), to_m)
+    if target == "M":
+        return coeffs
+    unit = math.lcm(*range(1, max(map(sum, coeffs), default=0) + 1)) if target == "Phi" else 1
+    weight = (lambda b: b[-1]) if target == "Psi" else (lambda b: sum(b) * unit // len(b))
+    sums = _sum_rows(coeffs.items(), _signed(weight))
+    return {a: s / (z_of_composition(a) * unit ** len(a)) for a, s in sums.items()}
+
+
+def p_weights_by_rows(q) -> dict:
+    """z_mu times the Psi coordinate at each partition mu of an M element q.
+
+    Only the weakly decreasing coarsenings of each term are summed.
+    """
+    return _sum_rows(q.coeffs.items(), _signed(lambda b: b[-1]), partitions=True)
 
 
 def coarsenings(beta) -> list[tuple[int, ...]]:

@@ -19,7 +19,6 @@ from quasimm.combinatorics import (
     mask_composition,
     parse_parts,
     sort_composition,
-    weighted_coarsenings,
     z_of,
     z_of_composition,
 )
@@ -31,6 +30,7 @@ from oracles import (
     lp_stat,
     refines,
     split_blocks,
+    weighted_coarsenings,
 )
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quasimm import qsym
@@ -34,6 +34,7 @@ from quasimm.qsym import (
     to_json_dict,
 )
 from oracles import (
+    coordinates_by_rows,
     count_composition_tableaux,
     dominance_order,
     e_weight,
@@ -41,6 +42,7 @@ from oracles import (
     h_weight,
     lp_stat,
     m_weight,
+    p_weights_by_rows,
     refines,
 )
 
@@ -386,6 +388,75 @@ def test_power_to_m_works_term_by_term_at_degree_14():
     expanded = to_coords(q, "M")
     assert len(expanded.coeffs) == 5120
     assert expanded.coefficient((2,) + (1,) * 12) == math.factorial(12)
+
+
+# Terms (degree, mask, numerator, denominator) of a random element: degrees
+# 0 to 8, mixed within one element, with rational coefficients.
+_TERMS = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 127), st.integers(-9, 9), st.integers(1, 12)),
+    max_size=6,
+)
+
+
+def _element(basis, terms):
+    return QSym(
+        basis,
+        {
+            qsym.mask_composition(n, mask % (1 << max(n - 1, 0))): Fraction(a, b)
+            for n, mask, a, b in terms
+        },
+    )
+
+
+@pytest.mark.parametrize("source, target", [("M", "Psi"), ("M", "Phi"), ("Psi", "M"), ("Phi", "M")])
+@given(terms=_TERMS)
+@example(terms=[(0, 0, 3, 2)])
+@example(terms=[(0, 0, 1, 1), (1, 0, -2, 3), (8, 127, 5, 7), (8, 0, 1, 2)])
+def test_mask_pass_matches_the_rows_oracle(source, target, terms):
+    q = _element(source, terms)
+    assert to_coords(q, target).coeffs == coordinates_by_rows(q, target)
+
+
+@given(terms=_TERMS)
+@example(terms=[(0, 0, 3, 2), (6, 31, 1, 1), (6, 5, -4, 5)])
+def test_partition_pass_matches_the_rows_oracle(terms):
+    q = _element("M", terms)
+    assert p_weights(q) == p_weights_by_rows(q)
+
+
+def test_sparse_inputs_stay_sparse():
+    # Degrees 40 and 24: a pass over all 2^(n-1) masks would not finish.
+    wide = M(10, 10, 10, 10)
+    for variant in ("Psi", "Phi"):
+        coords = to_coords(wide, variant).coeffs
+        assert len(coords) == 8
+        assert coords == coordinates_by_rows(wide, variant)
+    for variant in ("Psi", "Phi"):
+        pair = QSym.basis_element(variant, (12, 12))
+        assert to_coords(pair, "M").coeffs == coordinates_by_rows(pair, "M")
+        assert len(to_coords(pair, "M").coeffs) == 2
+
+
+def test_p_weights_of_e_30_is_the_sign_character():
+    # One term with 29 cuts: only the pruned pass, which keeps the prefixes of
+    # partitions, stays near the 5604 partitions of 30.
+    weights = p_weights(elementary_sym((30,)))
+    assert weights == {mu: (-1) ** (30 - len(mu)) for mu in enumerate_partitions(30)}
+
+
+def test_builders_multiply_from_their_first_factor(monkeypatch):
+    factors = []
+    product = qsym.m_product
+    monkeypatch.setattr(qsym, "m_product", lambda x, y: factors.extend((x, y)) or product(x, y))
+    for cache in (qsym._power_sym, qsym._elementary_sym, qsym._homogeneous_sym):
+        cache.cache_clear()
+    assert homogeneous_sym((10,)) == QSym("M", dict.fromkeys(enumerate_compositions(10), 1))
+    assert factors == []
+    power_sym((3, 2, 1))
+    elementary_sym((2, 2))
+    assert len(factors) == 2 * 3  # two products for p_321, one for e_22
+    assert QSym.unit("M") not in factors
+    assert power_sym(()) == elementary_sym(()) == homogeneous_sym(()) == QSym.unit("M")
 
 
 def test_transition_rows_degree_two():
