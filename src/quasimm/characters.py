@@ -17,8 +17,8 @@ from .combinatorics import (
     Partition,
     as_composition,
     as_partition,
+    compositions,
     cycles,
-    enumerate_compositions,
     enumerate_partitions,
     format_parts,
     z_of,
@@ -81,9 +81,10 @@ class CoefficientTable:
 
     key is "ctype" (weights indexed by cycle type, defined on every
     partition of the degree) or "ccomp" (indexed by cycle composition,
-    defined on every composition of the degree); a table whose classes are
-    not exactly these, or that holds a floating-point, boolean or
-    non-numeric weight, is refused.  Every weight is stored as a Fraction.
+    defined on every composition of the degree); a table whose degree is
+    not a nonnegative int, whose classes are not exactly these, or that
+    holds a floating-point, boolean or non-numeric weight, is refused.
+    Every weight is stored as a Fraction.
     provenance names the construction that produced the weights.
     Tables compare by their fields, and their attributes are read-only.
     """
@@ -96,7 +97,8 @@ class CoefficientTable:
         values = dict(values)  # a copy, so the checks below keep holding
         _check_classes(degree, key, values)
         for index, value in values.items():
-            qsym._check_exact(value, f"weights (at the {key} class {index!r})")
+            if isinstance(value, (float, bool)):
+                qsym._check_exact(value, f"weights (at the {key} class {index!r})")
             try:
                 values[index] = Fraction(value)
             except (TypeError, ValueError, OverflowError):
@@ -124,31 +126,17 @@ class CoefficientTable:
 
 
 def _check_classes(degree, key: str, values: dict) -> None:
-    """Raise ValueError naming a foreign or a missing class unless values has every class once.
-
-    The p(n) partitions are compared as a set.  The 2^(n-1) compositions
-    are listed only to name a missing one: once each key is a composition
-    of the degree, as many keys as compositions means every one is there.
-    """
-    if key == "ctype":
-        classes = enumerate_partitions(degree)
-        foreign = set(values).difference(classes)
-    else:
-        classes = None
-        foreign = [index for index in values if not _is_composition_of(index, degree)]
+    """Raise ValueError naming a foreign or a missing class unless values has every class once."""
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+        raise ValueError(f"table degree {degree!r} is not a nonnegative integer")
+    classes = enumerate_partitions(degree) if key == "ctype" else compositions(degree)
+    foreign = set(values).difference(classes)
     if foreign:
-        bad = next(iter(foreign))
+        bad = next(index for index in values if index in foreign)
         raise ValueError(f"{key} table of degree {degree} has the foreign class {bad!r}")
-    if len(values) != (len(classes) if classes else 1 << max(degree - 1, 0)):
-        missing = next(c for c in classes or enumerate_compositions(degree) if c not in values)
+    if len(values) != len(classes):
+        missing = next(c for c in classes if c not in values)
         raise ValueError(f"{key} table of degree {degree} has no weight for the class {missing!r}")
-
-
-def _is_composition_of(index, degree) -> bool:
-    try:
-        return isinstance(index, tuple) and sum(as_composition(index)) == degree
-    except ValueError:
-        return False
 
 
 def character_class_function(lam) -> CoefficientTable:

@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
     }
     try:
         report = builders[args.scope]()
-    except ValueError as exc:  # a sweep of the scope selects no order
+    except ValueError as exc:  # a sweep of the scope selects no order, or too many
         raise UsageError(f"verify {args.scope} with --max-n {args.max_n}: {exc}") from exc
     print(verification.render_table(report))
     if args.json:

@@ -48,24 +48,27 @@ from .qsym import QSym, elementary_sym, is_symmetric, monomial_sym, p_weights, t
 _ENTRY_TEXT = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
+def _exact_entry(entry) -> Fraction:
+    """A matrix entry as a Fraction: an int, a rational number, or text by the entry rule."""
+    if isinstance(entry, float):
+        raise ValueError("floating-point entries are not accepted")
+    if isinstance(entry, str) and _ENTRY_TEXT.fullmatch(entry.strip()):
+        return Fraction(entry)  # past the int-to-text digit limit, int() raises its own error
+    if not isinstance(entry, (bool, str)):
+        try:
+            return Fraction(entry)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"matrix entry {entry!r} is not an integer or a/b")
+
+
 class SquareMatrix:
     """Immutable dense square matrix of exact rationals."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        converted = []
-        for row in rows:
-            out = []
-            for entry in row:
-                if isinstance(entry, float):
-                    raise ValueError("floating-point entries are not accepted")
-                if isinstance(entry, bool) or (
-                    isinstance(entry, str) and not _ENTRY_TEXT.fullmatch(entry.strip())
-                ):
-                    raise ValueError(f"matrix entry {entry!r} is not an integer or a/b")
-                out.append(Fraction(entry))
-            converted.append(tuple(out))
+        converted = [tuple(map(_exact_entry, row)) for row in rows]
         n = len(converted)
         if n == 0 or any(len(row) != n for row in converted):
             raise ValueError("matrix must be square and nonempty")

@@ -2,21 +2,19 @@
 
 Three families of checks: a frozen set of worked examples (a cycle
 composition, the two 3x3 coefficient tables, and the tridiagonal
-closed forms), an exhaustive comparison of the per-permutation hook rule
-against coordinates of the hook quasi-Schur element, and the tridiagonal
+closed forms), the hook rule of Theorem 4 against coordinates of the hook
+quasi-Schur element once per cycle-composition class, and the tridiagonal
 Toeplitz family evaluated by the engine against its closed forms.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import chi2
-from .combinatorics import cycle_composition, enumerate_permutations
+from .combinatorics import cycle_composition, enumerate_compositions, enumerate_permutations
 from .engine import (
     SquareMatrix,
     hook_qimm_coefficient,
@@ -26,25 +24,23 @@ from .engine import (
 )
 from .qsym import quasischur, to_coords
 
+MAX_ORDER = 16  # every sweep stops here: its cost grows with the 2^(n-1) classes of order n
 
-@dataclass
-class ReportItem:
+
+class ReportItem(namedtuple("ReportItem", "id expected got passed")):
     """One comparison: an identifier, both sides as text, and the verdict."""
 
-    id: str
-    expected: str
-    got: str
-    passed: bool
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"id": self.id, "expected": self.expected, "got": self.got, "pass": self.passed}
 
 
-@dataclass
 class Report:
     """Ordered list of comparisons with an aggregate verdict."""
 
-    items: list = field(default_factory=list)
+    def __init__(self, items=None):
+        self.items = [] if items is None else items
 
     @property
     def all_pass(self) -> bool:
@@ -61,6 +57,15 @@ class Report:
             "items": [item.to_json_dict() for item in self.items],
             "all_pass": self.all_pass,
         }
+
+
+def _sweep_orders(name: str, least: int, bound: int) -> range:
+    """The orders least..bound, refusing a bound that selects none or passes MAX_ORDER."""
+    if bound < least:
+        raise ValueError(f"the {name} sweep starts at order {least}, so {bound} selects no order")
+    if bound > MAX_ORDER:
+        raise ValueError(f"the {name} sweep stops at order {MAX_ORDER}, so {bound} is too large")
+    return range(least, bound + 1)
 
 
 def render_table(report: Report) -> str:
@@ -95,22 +100,27 @@ def c_sigma(sigma) -> int:
 
 
 def verify_hook_rule(n: int) -> Report:
-    """Compare the per-permutation rule with hook quasi-Schur coordinates over all of S_n.
+    """Compare the closed-form hook rule with hook quasi-Schur coordinates on every class.
 
-    The walk over S_n tallies each cycle composition; the rule and the
-    reference, n! times the Psi coordinate of the hook element, are then
-    compared once per class.  Each disagreeing class gets its own report
-    row naming the class and its size (none are expected).
+    Each composition alpha of n is a class of S_n: its k-th cycle holds
+    the least of the r_k indices left and alpha_k - 1 of the others in
+    order, so it has prod_k (r_k - 1)!/(r_k - alpha_k)! members.  The rule
+    and n! times the Psi coordinate of the hook element are compared once
+    per class; each disagreeing class gets a row naming it and its size
+    (none are expected), in descending dominance order.
     """
     if n < 3:
         raise ValueError("the hook rule is stated for order at least 3")
     hook = (2,) + (1,) * (n - 2)
     coords = to_coords(quasischur(hook), "Psi").coeffs
     factorial = math.factorial(n)
-    classes = Counter(map(cycle_composition, itertools.permutations(range(1, n + 1))))
     agreements = 0
     mismatches = Report()
-    for alpha, size in classes.items():
+    for alpha in enumerate_compositions(n):
+        size, rest = 1, n
+        for part in alpha:
+            size *= math.perm(rest - 1, part - 1)
+            rest -= part
         reference = factorial * coords.get(alpha, Fraction(0))
         direct = hook_qimm_coefficient(alpha)
         if direct == reference:
@@ -126,12 +136,8 @@ def verify_hook_rule(n: int) -> Report:
 
 def verify_hook_rules(max_n: int = 6) -> Report:
     """The hook rule for each order from 3 to max_n."""
-    if max_n < 3:
-        raise ValueError(f"the hook-rule sweep starts at order 3, so {max_n} selects no order")
-    report = Report()
-    for n in range(3, max_n + 1):
-        report = report.merge(verify_hook_rule(n))
-    return report
+    orders = _sweep_orders("hook-rule", 3, max_n)
+    return Report([item for n in orders for item in verify_hook_rule(n).items])
 
 
 def toeplitz_tridiagonal(n: int) -> SquareMatrix:
@@ -162,10 +168,8 @@ def toeplitz_qimm_closed_form(n: int) -> Fraction:
 
 def verify_toeplitz(max_n: int = 8) -> Report:
     """Engine evaluations of the tridiagonal family against both closed forms."""
-    if max_n < 2:
-        raise ValueError(f"the Toeplitz sweep starts at order 2, so {max_n} selects no order")
     report = Report()
-    for n in range(2, max_n + 1):
+    for n in _sweep_orders("Toeplitz", 2, max_n):
         matrix = toeplitz_tridiagonal(n)
         report.add(f"toeplitz-d2-n{n}", toeplitz_d2_closed_form(n), second_immanant(matrix))
         if n >= 3:

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -219,6 +220,23 @@ def test_table_repr_names_every_field():
 def test_table_refuses_missing_and_foreign_classes(degree, key, values, message):
     with pytest.raises(ValueError, match=message):
         CoefficientTable(degree, key, values)
+
+
+@pytest.mark.parametrize(
+    "degree, values",
+    [
+        (True, {(1,): 1}),
+        (2.0, {(2,): 1, (1, 1): 1}),
+        ("2", {(2,): 1, (1, 1): 1}),
+        (-1, {}),
+    ],
+    ids=["bool", "float", "text", "negative"],
+)
+def test_table_refuses_a_degree_that_is_not_a_nonnegative_int(degree, values):
+    message = f"table degree {re.escape(repr(degree))} is not a nonnegative integer"
+    for key in ("ctype", "ccomp"):
+        with pytest.raises(ValueError, match=message):
+            CoefficientTable(degree, key, values)
 
 
 def test_table_refuses_float_and_boolean_weights():

@@ -277,6 +277,7 @@ _ERROR_MATRICES = {
     "small.csv": SMALL_CSV,
     "one.csv": "5\n",
     "huge.csv": "1" * 4301 + ",1\n1,1\n",
+    "null.json": '{"entries": [[null, 1], [1, 1]]}',
 }
 
 
@@ -298,6 +299,10 @@ _ERROR_MATRICES = {
         pytest.param(("toeplitz", "0"), 2, "dimension must be at least 1", id="toeplitz-zero"),
         pytest.param(("det", "{dir}/missing.csv"), 1, "cannot read matrix file", id="missing-matrix"),
         pytest.param(("det", "{dir}/huge.csv"), 1, "malformed matrix in", id="entry-over-digit-limit"),
+        pytest.param(("det", "{dir}/null.json"), 1, "matrix entry None is not an integer or a/b",
+                     id="null-entry"),
+        pytest.param(("verify", "all", "--max-n", "17"), 2,
+                     "the Toeplitz sweep stops at order 16, so 17 is too large", id="verify-past-limit"),
     ],
 )
 def test_error_paths_report_one_line(tmp_path, args, code, message):

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,18 @@ def test_text_entries_outside_the_rule_are_rejected(tmp_path, entry):
     for path in (csv_path, json_path):
         with pytest.raises(ValueError, match=f"matrix entry {re.escape(repr(entry))} "):
             load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [None, [1], 1 + 0j, Decimal("NaN"), Decimal("Infinity")],
+    ids=["none", "list", "complex", "nan", "infinity"],
+)
+def test_non_numeric_entries_are_named(entry):
+    message = f"matrix entry {re.escape(repr(entry))} is not an integer or a/b"
+    with pytest.raises(ValueError, match=message):
+        SquareMatrix([[entry, 1], [1, 1]])
+    assert SquareMatrix([[Decimal("0.5")]]) == SquareMatrix([[Fraction(1, 2)]])
 
 
 def test_text_entries_accept_signed_integers_and_ratios(tmp_path):

@@ -58,6 +58,12 @@ def test_qimm_loads_neither_verification_nor_dataclasses(tmp_path):
     assert "pathlib" not in modules
 
 
+def test_verify_loads_no_dataclasses():
+    output, modules = _loaded("verify", "all", "--max-n", "3")
+    assert output.split() == ["check", "expected", "got", "status"]
+    assert "quasimm.verification" in modules and "dataclasses" not in modules
+
+
 def test_public_names_resolve_to_their_modules():
     assert len(set(quasimm.__all__)) == len(quasimm.__all__)
     for name in quasimm.__all__:

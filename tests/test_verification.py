@@ -6,7 +6,11 @@ import pytest
 
 from quasimm import verification
 from quasimm.characters import chi2
-from quasimm.combinatorics import cycle_composition, enumerate_permutations
+from quasimm.combinatorics import (
+    cycle_composition,
+    enumerate_compositions,
+    enumerate_permutations,
+)
 from quasimm.engine import SquareMatrix, qimm_hook_fast, second_immanant
 from quasimm.verification import (
     Report,
@@ -58,18 +62,27 @@ def test_hook_rule_verifies(n):
     assert item.expected == item.got
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_hook_rule_class_sizes_match_the_walk(monkeypatch, n):
+    # With every class made to disagree, each class gets a row carrying its
+    # closed-form size, which must be the walk's count over S_n.
+    rule = verification.hook_qimm_coefficient
+    monkeypatch.setattr(verification, "hook_qimm_coefficient", lambda alpha: rule(alpha) + 1)
+    walk = Counter(map(cycle_composition, enumerate_permutations(n)))
+    factorial = math.factorial(n)
+    summary, *mismatches = verify_hook_rule(n).items
+    assert summary.got == f"0/{factorial} agree"
+    assert [item.id for item in mismatches] == [
+        f"hook-rule-n{n}-ccomp{alpha}-size{walk[alpha]}" for alpha in enumerate_compositions(n)
+    ]
+    assert sum(walk.values()) == factorial and len(walk) == 2 ** (n - 1)
 
-@pytest.mark.parametrize("n", range(3, 7))
-def test_hook_rule_takes_one_cycle_composition_per_permutation(monkeypatch, n):
-    calls = []
 
-    def counted(sigma):
-        calls.append(sigma)
-        return cycle_composition(sigma)
-
-    monkeypatch.setattr(verification, "cycle_composition", counted)
-    assert verify_hook_rule(n).all_pass
-    assert len(calls) == math.factorial(n)
+def test_hook_rule_holds_past_the_reach_of_a_walk():
+    # 12! = 479 001 600 permutations; the check visits 2^11 classes.
+    report = verify_hook_rule(12)
+    assert report.all_pass
+    assert report.items[0].got == "479001600/479001600 agree"
 
 
 @pytest.mark.parametrize("wrong", [(1, 1, 1, 1, 1), (2, 3), (1, 2, 2)])
@@ -99,7 +112,9 @@ def test_hook_rule_rejects_small_orders():
 
 
 def test_sweeps_refuse_a_bound_that_selects_no_order():
-    # A sweep that selects no order would pass with nothing checked.
+    # A sweep that selects no order would pass with nothing checked; past
+    # the limit, each order costs about twice the one before.
+    assert verification.MAX_ORDER == 16
     sweeps = (
         (verification.verify_hook_rules, 3, "hook-rule sweep starts at order 3"),
         (verify_toeplitz, 2, "Toeplitz sweep starts at order 2"),
@@ -109,6 +124,9 @@ def test_sweeps_refuse_a_bound_that_selects_no_order():
         for bound in (-1, 0, least - 1):
             with pytest.raises(ValueError, match=message):
                 sweep(bound)
+        name = message.split(" starts")[0]
+        with pytest.raises(ValueError, match=f"{name} stops at order 16, so 17 is too large"):
+            sweep(17)
         assert sweep(least).all_pass
     with pytest.raises(ValueError, match="hook-rule sweep"):
         verify_all(hook_max=2, toeplitz_max=8)
