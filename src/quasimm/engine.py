@@ -8,14 +8,15 @@ denominator (ctype class sums are first bucketed by cycle type), so one
 Fraction is built per call.  The weights are a named CoefficientTable
 keyed by cycle type or by cycle composition: a character for the permanent,
 determinant and immanants, the hook rule for the fast hook path, and
-otherwise the table read from a quasisymmetric element, kept in one
-bounded LRU cache.  class_sums is a subset DP in integers: Held-Karp path
-sums give the sum of cyclic products on each index set, and chaining those
-cycles in min-first order gives the class sums.  Both stages visit only the
-index sets reachable along nonzero entries, never all 2^n: a dense matrix
-costs about 4^n/12 (covered set, cycle) pairs, 88 000 at n = 10 against
-10! leaves, and a banded one far fewer.  The permutation walk it replaced
-is a test oracle.
+otherwise the table read from a quasisymmetric element.  Each is built once
+and kept in one bounded LRU cache, keyed by its builder and the order,
+shape or element it is built from.  class_sums is a subset DP in integers:
+Held-Karp path sums give the sum of cyclic products on each index set, and
+chaining those cycles in min-first order gives the class sums.  Both
+stages visit only the index sets reachable along nonzero entries, never all
+2^n: a dense matrix costs about 4^n/12 (covered set, cycle) pairs, 88 000
+at n = 10 against 10! leaves, and a banded one far fewer.  The permutation
+walk it replaced is a test oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .characters import (
 )
 from .combinatorics import (
     as_composition,
+    as_partition,
     compositions,
     count_perms_with_ctype,
     enumerate_partitions,
@@ -113,7 +115,7 @@ def matrix_from_json_dict(obj) -> SquareMatrix:
 
 def load_matrix(path) -> SquareMatrix:
     """Read a matrix from a JSON or CSV file, deciding by the leading character."""
-    with open(path) as source:
+    with open(path, encoding="utf-8-sig") as source:  # a leading byte-order mark is dropped
         text = source.read()
     if text.lstrip()[:1] in ("{", "["):
         return matrix_from_json_dict(json.loads(text))
@@ -218,12 +220,12 @@ def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
 
 def permanent(a: SquareMatrix) -> Fraction:
     """Permutation sum weighted by the trivial character."""
-    return weighted_perm_sum(a, trivial_character(a.n))
+    return weighted_perm_sum(a, _weights(trivial_character, a.n))
 
 
 def determinant(a: SquareMatrix) -> Fraction:
     """Permutation sum weighted by the sign character."""
-    return weighted_perm_sum(a, sign_character(a.n))
+    return weighted_perm_sum(a, _weights(sign_character, a.n))
 
 
 def determinant_elimination(a: SquareMatrix) -> Fraction:
@@ -255,7 +257,7 @@ def determinant_elimination(a: SquareMatrix) -> Fraction:
 
 def immanant(a: SquareMatrix, lam) -> Fraction:
     """Permutation sum weighted by the irreducible character of shape lam."""
-    return weighted_perm_sum(a, character_class_function(lam))
+    return weighted_perm_sum(a, _weights(character_class_function, as_partition(lam)))
 
 
 def second_immanant(a: SquareMatrix) -> Fraction:
@@ -267,12 +269,19 @@ def second_immanant(a: SquareMatrix) -> Fraction:
 
 def elementary_immanant(a: SquareMatrix, lam) -> Fraction:
     """Quasi-immanant of e_lam: weight z_mu times the p_mu coefficient of e_lam."""
-    return qimm(a, elementary_sym(lam))
+    return weighted_perm_sum(a, _weights(elementary_sym, as_partition(lam)))
 
 
 def monomial_immanant(a: SquareMatrix, lam) -> Fraction:
     """Quasi-immanant of m_lam: weight z_mu times the p_mu coefficient of m_lam."""
-    return qimm(a, monomial_sym(lam))
+    return weighted_perm_sum(a, _weights(monomial_sym, as_partition(lam)))
+
+
+@lru_cache(maxsize=128)  # a fixed bound, above any pool of tables used at once
+def _weights(source, *args) -> CoefficientTable:
+    """The table source(*args) builds, or the table of the symmetric element it builds."""
+    made = source(*args)
+    return made if isinstance(made, CoefficientTable) else _element_table(made, "Psi")
 
 
 def qimm_coefficient_table(q: QSym, variant: str = "Psi") -> CoefficientTable:
@@ -286,11 +295,10 @@ def qimm_coefficient_table(q: QSym, variant: str = "Psi") -> CoefficientTable:
     """
     if variant not in ("Psi", "Phi"):
         raise ValueError(f"unknown power-sum variant {variant!r}")
-    return _coefficient_table(q, variant)
+    return _weights(_element_table, q, variant)
 
 
-@lru_cache(maxsize=128)  # a fixed bound, above any pool of elements used at once
-def _coefficient_table(q: QSym, variant: str) -> CoefficientTable:
+def _element_table(q: QSym, variant: str) -> CoefficientTable:
     n = q.degree()
     if not is_symmetric(q):
         factorial = math.factorial(n)
@@ -298,14 +306,14 @@ def _coefficient_table(q: QSym, variant: str) -> CoefficientTable:
         values.update((alpha, factorial * c) for alpha, c in to_coords(q, variant).coeffs.items())
         return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
     if variant != "Psi":  # the cycle-type table does not depend on the variant
-        return _coefficient_table(q, "Psi")
+        return _weights(_element_table, q, "Psi")
     weights = p_weights(q)
     values = {mu: weights.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
     return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
 
 
-qimm_coefficient_table.cache_info = _coefficient_table.cache_info
-qimm_coefficient_table.cache_clear = _coefficient_table.cache_clear
+qimm_coefficient_table.cache_info = _weights.cache_info
+qimm_coefficient_table.cache_clear = _weights.cache_clear
 
 
 def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi") -> Fraction:
@@ -332,15 +340,26 @@ def hook_qimm_coefficient(alpha) -> int:
     first part 2 flips that sign, anything larger vanishes.
     """
     alpha = as_composition(alpha)
-    n = sum(alpha)
+    return _hook_weight(alpha, sum(alpha), count_perms_with_ctype(sort_composition(alpha)))
+
+
+def _hook_weight(alpha: tuple, n: int, size: int) -> int:
+    """The hook rule at a composition alpha of n whose cycle type has size members."""
     if n < 3:
         raise ValueError("hook weight needs degree at least 3")
-    first = alpha[0]
-    if first > 2:
+    if alpha[0] > 2:
         return 0
-    count = count_perms_with_ctype(sort_composition(alpha))
-    flips = n - len(alpha) + (1 if first == 2 else 0)
-    return -count if flips % 2 else count
+    flips = n - len(alpha) + (alpha[0] == 2)
+    return -size if flips % 2 else size
+
+
+def _hook_table(n: int) -> CoefficientTable:
+    """The hook rule at every composition of n, with one class size n!/z per cycle type."""
+    sizes = {mu: count_perms_with_ctype(mu) for mu in enumerate_partitions(n)}
+    values = {
+        alpha: _hook_weight(alpha, n, sizes[sort_composition(alpha)]) for alpha in compositions(n)
+    }
+    return CoefficientTable(n, "ccomp", values, f"hook rule degree {n}")
 
 
 def qimm_hook_fast(a: SquareMatrix) -> Fraction:
@@ -349,6 +368,4 @@ def qimm_hook_fast(a: SquareMatrix) -> Fraction:
     Bypasses coordinate conversion entirely; must agree with
     qimm(a, quasischur((2,1,...,1)), "Psi").
     """
-    n = a.n
-    values = {alpha: Fraction(hook_qimm_coefficient(alpha)) for alpha in compositions(n)}
-    return weighted_perm_sum(a, CoefficientTable(n, "ccomp", values, f"hook rule degree {n}"))
+    return weighted_perm_sum(a, _weights(_hook_table, a.n))

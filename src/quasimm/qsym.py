@@ -14,7 +14,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .combinatorics import (
     as_composition,
@@ -199,12 +199,7 @@ def _product(factors) -> QSym:
 
 def monomial_sym(lam) -> QSym:
     """m_lam: sum of M_alpha over all distinct rearrangements alpha of lam."""
-    return _monomial_sym(as_partition(lam))
-
-
-@lru_cache(maxsize=128)
-def _monomial_sym(lam) -> QSym:
-    return QSym._made("M", dict.fromkeys(_rearrangements(lam), Fraction(1)))
+    return QSym._made("M", dict.fromkeys(_rearrangements(as_partition(lam)), Fraction(1)))
 
 
 def _rearrangements(parts: tuple) -> list:
@@ -221,32 +216,18 @@ def _rearrangements(parts: tuple) -> list:
 
 def power_sym(lam) -> QSym:
     """p_lam as the product of the single-part elements M_(k), k in lam."""
-    return _power_sym(as_partition(lam))
-
-
-@lru_cache(maxsize=128)
-def _power_sym(lam) -> QSym:
-    return _product([QSym.basis_element("M", (k,)) for k in lam])
+    return _product([QSym.basis_element("M", (k,)) for k in as_partition(lam)])
 
 
 def elementary_sym(lam) -> QSym:
     """e_lam as the product of the column elements M_(1^k), k in lam."""
-    return _elementary_sym(as_partition(lam))
-
-
-@lru_cache(maxsize=128)
-def _elementary_sym(lam) -> QSym:
-    return _product([QSym.basis_element("M", (1,) * k) for k in lam])
+    return _product([QSym.basis_element("M", (1,) * k) for k in as_partition(lam)])
 
 
 def homogeneous_sym(lam) -> QSym:
     """h_lam as the product of the full sums over all compositions of each part."""
-    return _homogeneous_sym(as_partition(lam))
-
-
-@lru_cache(maxsize=128)
-def _homogeneous_sym(lam) -> QSym:
-    return _product([QSym._made("M", dict.fromkeys(compositions(k), Fraction(1))) for k in lam])
+    full = [QSym._made("M", dict.fromkeys(compositions(k), Fraction(1))) for k in as_partition(lam)]
+    return _product(full)
 
 
 def schur_sym(lam) -> QSym:

@@ -153,6 +153,13 @@ def test_fractional_csv_entries(tmp_path):
     assert result.stdout.strip() == "-3/4"
 
 
+def test_det_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text(SMALL_CSV, encoding="utf-8-sig")
+    result = run_cli("det", str(path))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "-2\n", "")
+
+
 def test_json_matrix_input(tmp_path):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({"n": 2, "entries": [["1", "2"], ["3", "4"]]}))

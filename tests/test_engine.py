@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from quasimm import engine
+from quasimm.characters import character_class_function
 from quasimm.combinatorics import (
     cycle_composition,
     cycle_type,
@@ -129,6 +130,17 @@ def test_load_matrix_json_and_csv(tmp_path):
     bad.write_text("1,2\n3\n")
     with pytest.raises(ValueError):
         load_matrix(bad)
+
+
+def test_load_matrix_drops_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports often start UTF-8 text with a byte-order mark.
+    expected = SquareMatrix([[1, Fraction(1, 2)], [-3, 4]])
+    csv_path = tmp_path / "bom.csv"
+    csv_path.write_text("1,1/2\n-3,4\n", encoding="utf-8-sig")
+    json_path = tmp_path / "bom.json"
+    json_path.write_text(json.dumps(expected.to_json_dict()), encoding="utf-8-sig")
+    assert csv_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_matrix(csv_path) == load_matrix(json_path) == expected
 
 
 @pytest.mark.parametrize(
@@ -548,11 +560,81 @@ def test_elementary_and_monomial_immanants_match_per_class_families(n):
 
 
 def test_element_table_cache_is_bounded():
+    # Element tables and named weight vectors share the one bounded cache.
     info = qimm_coefficient_table.cache_info()
     assert info.maxsize is not None and info.maxsize > 0
+    rng = random.Random(128)
     for k in range(1, info.maxsize + 6):
         qimm_coefficient_table(QSym("M", {(1, 1): k, (2,): 1}))
+        a = _random_matrix(rng, 2 + k % 5)
+        named = (permanent, determinant, second_immanant, qimm_hook_fast) if a.n > 2 else ()
+        for fn in named:
+            fn(a)
+        cut = k % a.n
+        elementary_immanant(a, sorted((a.n - cut, cut), reverse=True) if cut else (a.n,))
         assert qimm_coefficient_table.cache_info().currsize <= info.maxsize
+    assert qimm_coefficient_table.cache_info().currsize == info.maxsize
+    qimm_coefficient_table.cache_clear()
+    assert qimm_coefficient_table.cache_info().currsize == 0
+
+
+_NAMED_WEIGHTS = {
+    "permanent": permanent,
+    "determinant": determinant,
+    "immanant": lambda a: immanant(a, (3, 1)),
+    "second_immanant": second_immanant,
+    "elementary_immanant": lambda a: elementary_immanant(a, (2, 2)),
+    "monomial_immanant": lambda a: monomial_immanant(a, (2, 1, 1)),
+    "qimm_hook_fast": qimm_hook_fast,
+}
+
+
+@pytest.mark.parametrize("name", _NAMED_WEIGHTS)
+def test_named_weights_are_built_once_per_order(name):
+    fn = _NAMED_WEIGHTS[name]
+    rng = random.Random(4)
+    first, second = _random_matrix(rng, 4), _sparse_matrix(rng, 4)
+    qimm_coefficient_table.cache_clear()
+    fn(first)
+    built = qimm_coefficient_table.cache_info()
+    assert built.misses >= 1 and built.currsize >= 1
+    fn(second)
+    again = qimm_coefficient_table.cache_info()
+    assert (again.hits, again.misses, again.currsize) == (built.hits + 1, built.misses, built.currsize)
+
+
+def test_symmetric_builders_run_once_per_shape(monkeypatch):
+    calls = []
+    for name in ("elementary_sym", "monomial_sym"):
+        builder = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda lam, b=builder: calls.append(b.__name__) or b(lam))
+    qimm_coefficient_table.cache_clear()
+    rng = random.Random(5)
+    for _ in range(3):
+        a = _random_matrix(rng, 4)
+        elementary_immanant(a, (2, 1, 1))
+        monomial_immanant(a, [3, 1])
+        monomial_immanant(a, (3, 1))
+    assert calls == ["elementary_sym", "monomial_sym"]
+
+
+def test_immanant_shape_spellings_share_one_table():
+    qimm_coefficient_table.cache_clear()
+    a = _random_matrix(random.Random(21), 3)
+    assert immanant(a, [2, 1]) == immanant(a, (2, 1)) == _unpruned_sum(
+        a, character_class_function((2, 1))
+    )
+    info = qimm_coefficient_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        immanant(a, [1, 2])
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_hook_table_matches_the_per_class_rule(n):
+    table = engine._weights(engine._hook_table, n)
+    assert (table.degree, table.key) == (n, "ccomp")
+    assert table.values == {alpha: hook_qimm_coefficient(alpha) for alpha in enumerate_compositions(n)}
 
 
 def test_symmetric_element_spellings_share_one_table(monkeypatch):

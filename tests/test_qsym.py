@@ -89,10 +89,14 @@ def test_boolean_coefficients_and_scalars_are_rejected():
     assert hook * 1 == hook
 
 
-def test_classical_builders_cache_is_bounded():
-    for builder in (qsym._monomial_sym, qsym._power_sym, qsym._elementary_sym, qsym._homogeneous_sym):
-        maxsize = builder.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+def test_classical_builders_read_any_spelling_of_a_partition():
+    # The builders keep no cache: a list and a tuple give equal, fresh elements,
+    # and parts out of order are refused before any product is taken.
+    for builder in (monomial_sym, power_sym, elementary_sym, homogeneous_sym):
+        assert builder([2, 1]) == builder((2, 1))
+        assert builder((2, 1)) is not builder((2, 1))
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            builder([1, 2])
 
 def test_degree_bookkeeping():
     x = M(2, 1) + M(3)
@@ -448,8 +452,6 @@ def test_builders_multiply_from_their_first_factor(monkeypatch):
     factors = []
     product = qsym.m_product
     monkeypatch.setattr(qsym, "m_product", lambda x, y: factors.extend((x, y)) or product(x, y))
-    for cache in (qsym._power_sym, qsym._elementary_sym, qsym._homogeneous_sym):
-        cache.cache_clear()
     assert homogeneous_sym((10,)) == QSym("M", dict.fromkeys(enumerate_compositions(10), 1))
     assert factors == []
     power_sym((3, 2, 1))
