@@ -10,7 +10,6 @@ transform.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from . import qsym
 from .combinatorics import (
@@ -21,7 +20,8 @@ from .combinatorics import (
     cycles,
     enumerate_partitions,
     format_parts,
-    z_of,
+    sort_composition,
+    z_of_composition,
 )
 
 
@@ -52,11 +52,10 @@ def irreducible_character(lam, mu) -> int:
     mu = as_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("character arguments must be partitions of the same order")
-    return _strip_recursion(lam, mu)
+    return _strip_recursion(lam, mu, {})
 
 
-@cache
-def _strip_recursion(lam: Partition, mu: Partition) -> int:
+def _strip_recursion(lam: Partition, mu: Partition, memo: dict) -> int:
     if not mu:
         return 1
     k, rest = mu[0], mu[1:]
@@ -72,7 +71,9 @@ def _strip_recursion(lam: Partition, mu: Partition) -> int:
         height = sum(1 for x in beta if nb < x < b)
         new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
         smaller = tuple(p for p in (new_beta[i] - (rows - 1 - i) for i in range(rows)) if p)
-        total += -_strip_recursion(smaller, rest) if height % 2 else _strip_recursion(smaller, rest)
+        if (smaller, rest) not in memo:
+            memo[smaller, rest] = _strip_recursion(smaller, rest, memo)
+        total += -memo[smaller, rest] if height % 2 else memo[smaller, rest]
     return total
 
 
@@ -143,7 +144,8 @@ def character_class_function(lam) -> CoefficientTable:
     """The irreducible character chi^lam as a weight vector over all classes."""
     lam = as_partition(lam)
     n = sum(lam)
-    values = {mu: Fraction(irreducible_character(lam, mu)) for mu in enumerate_partitions(n)}
+    memo: dict = {}
+    values = {mu: _strip_recursion(lam, mu, memo) for mu in enumerate_partitions(n)}
     return CoefficientTable(n, "ctype", values, f"character[{format_parts(lam)}]")
 
 
@@ -162,13 +164,10 @@ def sign_character(n: int) -> CoefficientTable:
 def frobenius(theta: CoefficientTable):
     """Symmetric function of a class function: sum over classes of theta(mu)/z_mu p_mu.
 
-    Returns the image in M coordinates.  theta must be keyed by cycle type.
+    As p_mu is the sum of Psi_alpha over the rearrangements alpha of mu, one
+    Psi-to-M pass gives the image in M coordinates.  theta must be keyed by cycle type.
     """
     if theta.key != "ctype":
         raise ValueError("frobenius needs a table keyed by cycle type")
-
-    total = qsym.QSym.zero("M")
-    for mu, val in theta.values.items():
-        if val:
-            total = total + qsym.power_sym(mu) * Fraction(val, z_of(mu))
-    return total
+    psi = {a: theta(sort_composition(a)) / z_of_composition(a) for a in compositions(theta.degree)}
+    return qsym.to_coords(qsym.QSym("Psi", psi), "M")

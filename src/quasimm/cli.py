@@ -123,15 +123,14 @@ def cmd_matrix(args) -> int:
 def cmd_verify(args) -> int:
     from . import verification
 
-    hook_max, toeplitz_max = (6, 8) if args.max_n is None else (args.max_n, args.max_n)
-    builders = {
-        "examples": lambda: verification.verify_worked_examples(toeplitz_max),
-        "theorem4": lambda: verification.verify_hook_rules(hook_max),
-        "toeplitz": lambda: verification.verify_toeplitz(toeplitz_max),
-        "all": lambda: verification.verify_all(hook_max, toeplitz_max),
+    sweeps = {
+        "examples": verification.verify_worked_examples,
+        "theorem4": verification.verify_hook_rules,
+        "toeplitz": verification.verify_toeplitz,
+        "all": verification.verify_all,
     }
     try:
-        report = builders[args.scope]()
+        report = sweeps[args.scope](*(() if args.max_n is None else (args.max_n,)))
     except ValueError as exc:  # a sweep of the scope selects no order, or too many
         raise UsageError(f"verify {args.scope} with --max-n {args.max_n}: {exc}") from exc
     print(verification.render_table(report))
@@ -165,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", parents=[common], help="expand a basis element")
     p.add_argument("basis", choices=tuple(_BASIS_BUILDERS))
     p.add_argument("index", help="comma-separated parts, e.g. 2,1,1 or 2,1^3")
-    p.add_argument("--target", choices=qsym.BASES, default="M")
+    # Basis names are read in any case: every name in qsym.BASES is capitalized.
+    p.add_argument("--target", type=str.capitalize, choices=qsym.BASES, default="M")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("qimm", parents=[common], help="quasi-immanant of a matrix")
@@ -174,6 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.add_argument(
         "--variant",
+        type=str.lower,
         choices=("psi", "phi"),
         default="psi",
         help="power-sum coordinate system for quasi-immanants",

@@ -16,6 +16,8 @@ Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
+PERMUTATION_LIMIT = 10  # 10! = 3 628 800 tuples; each order past it multiplies that
+
 
 def as_composition(parts) -> Composition:
     """Validate a sequence of positive integers and return it as a tuple."""
@@ -166,9 +168,11 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
 
 def enumerate_permutations(n: int) -> list[Permutation]:
-    """All permutations of {1..n} in one-line notation."""
+    """All permutations of {1..n} in one-line notation, for n up to PERMUTATION_LIMIT."""
     if n < 0:
         raise ValueError("order must be nonnegative")
+    if n > PERMUTATION_LIMIT:
+        raise ValueError(f"permutations stop at order {PERMUTATION_LIMIT}, so {n} is too large")
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 

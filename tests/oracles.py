@@ -8,7 +8,9 @@ symmetric-function weights of h, e and m counted from the classical
 expansion p_mu = sum over lam of R(mu, lam) m_lam, where R(mu, lam) is the
 number of ways to deal the parts of mu into ordered blocks with sums
 lam_1, lam_2, ... (Stanley, Enumerative Combinatorics 2, Prop. 7.7.1).
-The weights share no code with quasimm's coordinate changes.
+The weights share no code with quasimm's coordinate changes.  The
+Frobenius image is also summed here the long way, one quasi-shuffle
+product of power sums per class.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from quasimm.combinatorics import (
     z_of,
     z_of_composition,
 )
-from quasimm.qsym import _admissible
+from quasimm.qsym import QSym, _admissible, power_sym
 
 
 def descent_set(alpha) -> set[int]:
@@ -221,6 +223,15 @@ def deal_count(mu, lam) -> int:
         return total
 
     return deal(0)
+
+
+def frobenius_by_products(theta) -> QSym:
+    """Sum over the classes mu of theta(mu)/z_mu p_mu, each p_mu a product of M_(k)."""
+    total = QSym.zero("M")
+    for mu, value in theta.values.items():
+        if value:
+            total = total + power_sym(mu) * Fraction(value, z_of(mu))
+    return total
 
 
 def h_weight(lam, mu) -> int:

@@ -1,9 +1,9 @@
-"""The package keeps few caches, each bounded or held to a known reason.
+"""The package keeps one cache, and it is bounded.
 
 Every weight vector a matrix function reads lives in one lru_cache with an
-integer bound in engine.  The one unbounded cache is the border-strip
-recursion in characters, which one character table runs through many
-smaller shapes.  Any other cache, decorated or called, fails this test.
+integer bound in engine.  The border-strip and quasi-shuffle memos are
+plain dicts that live for one table or one product.  Any other cache,
+decorated or called, fails this test.
 """
 
 import ast
@@ -54,12 +54,8 @@ def _caches(package_dir=PACKAGE_DIR) -> list:
     return found
 
 
-def test_one_bounded_weight_cache_and_the_strip_recursion():
-    caches = _caches()
-    engine = [entry for entry in caches if entry[0] == "engine"]
-    others = [entry for entry in caches if entry[0] != "engine"]
-    assert len(engine) == 1 and engine[0][2] == "lru_cache(maxsize=int)", engine
-    assert others == [("characters", "_strip_recursion", "cache")]
+def test_one_bounded_weight_cache():
+    assert _caches() == [("engine", "_weights", "lru_cache(maxsize=int)")]
 
 
 def test_the_scan_sees_each_spelling_of_a_cache(tmp_path):

@@ -110,6 +110,28 @@ def test_qimm_command(primes_path):
 
 
 
+def test_basis_names_take_either_case(primes_path):
+    for target in ("Psi", "psi", "PSI"):
+        result = run_cli("expand", "qs", "2,1", "--target", target)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1/2*Psi[2,1] - 1/2*Psi[1,2] + 1/6*Psi[1,1,1]"
+    assert run_cli("expand", "qs", "2,1", "--target", "m").stdout.strip() == "M[2,1] + M[1,1,1]"
+    assert run_cli("expand", "p", "2,1", "--target", "phi").stdout.strip() == "Phi[2,1] + Phi[1,2]"
+    for variant, value in (("Psi", "3278"), ("PHI", "1950"), ("phi", "1950")):
+        result = run_cli("qimm", primes_path, "qs", "2,1", "--variant", variant)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == value
+    for args in (
+        ("expand", "qs", "2,1", "--target", "F"),
+        ("qimm", primes_path, "qs", "2,1", "--variant", "M"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert "invalid choice" in result.stderr
+    assert "{M,Psi,Phi}" in run_cli("expand", "--help").stdout
+    assert "{psi,phi}" in run_cli("qimm", "--help").stdout
+
+
 def test_options_are_scoped_to_the_commands_that_read_them(primes_path):
     for args in (
         ("det", primes_path, "--variant", "phi"),
@@ -221,6 +243,14 @@ def test_verify_examples():
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1] == "16/16 checks passed"
     assert "ccomp-worked-example" in result.stdout
+
+
+def test_verify_defaults_to_order_eight():
+    result = run_cli("verify", "theorem4")
+    assert result.returncode == 0
+    assert "hook-rule-n3" in result.stdout and "hook-rule-n8" in result.stdout
+    assert result.stdout.splitlines()[-1] == "6/6 checks passed"
+    assert result.stdout == run_cli("verify", "theorem4", "--max-n", "8").stdout
 
 
 def test_verify_scopes_with_bound(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quasimm.combinatorics import (
+    PERMUTATION_LIMIT,
     as_composition,
     as_partition,
     as_permutation,
@@ -164,6 +166,14 @@ def test_enumerations():
     assert enumerate_partitions(0) == [()]
     assert len(enumerate_permutations(3)) == 6
     assert enumerate_permutations(0) == [()]
+
+
+def test_permutations_past_the_limit_are_refused_before_any_is_built():
+    assert PERMUTATION_LIMIT == 10
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="permutations stop at order 10, so 11 is too large"):
+        enumerate_permutations(PERMUTATION_LIMIT + 1)
+    assert time.perf_counter() - start < 0.1  # 11! tuples would take minutes
 
 
 def _recursive_partitions(remaining, cap):

@@ -129,9 +129,9 @@ def test_sweeps_refuse_a_bound_that_selects_no_order():
             sweep(17)
         assert sweep(least).all_pass
     with pytest.raises(ValueError, match="hook-rule sweep"):
-        verify_all(hook_max=2, toeplitz_max=8)
+        verify_all(2)
     with pytest.raises(ValueError, match="Toeplitz sweep"):
-        verify_all(hook_max=6, toeplitz_max=1)
+        verify_all(1)
 
 
 def test_toeplitz_matrices():
@@ -197,7 +197,7 @@ def test_render_table():
 
 
 def test_worked_examples_report():
-    report = verify_worked_examples(toeplitz_max=4)
+    report = verify_worked_examples(max_n=4)
     assert report.all_pass
     ids = [item.id for item in report.items]
     assert ids[0] == "ccomp-worked-example"
@@ -206,8 +206,16 @@ def test_worked_examples_report():
 
 
 def test_verify_all_bundles_every_family():
-    report = verify_all(hook_max=4, toeplitz_max=6)
+    report = verify_all(max_n=6)
     assert report.all_pass
     ids = [item.id for item in report.items]
-    assert "hook-rule-n3" in ids and "hook-rule-n4" in ids
-    assert "toeplitz-qimm-n6" in ids
+    assert "hook-rule-n3" in ids and "hook-rule-n6" in ids and "hook-rule-n7" not in ids
+    assert "toeplitz-qimm-n6" in ids and "toeplitz-d2-n7" not in ids
+
+
+def test_every_sweep_defaults_to_order_eight():
+    sweeps = (verify_all, verification.verify_hook_rules, verify_toeplitz, verify_worked_examples)
+    for sweep in sweeps:
+        assert [item.id for item in sweep().items] == [item.id for item in sweep(8).items]
+    ids = [item.id for item in verify_all().items]
+    assert ids[-1] == "hook-rule-n8" and "toeplitz-qimm-n8" in ids
