@@ -85,12 +85,13 @@ class CoefficientTable:
     defined on every composition of the degree); a table whose degree is
     not a nonnegative int, whose classes are not exactly these, or that
     holds a floating-point, boolean or non-numeric weight, is refused.
-    Every weight is stored as a Fraction.
+    The weights are kept as integer numerators over den, their least
+    common denominator; values is the {class: Fraction} view of them.
     provenance names the construction that produced the weights.
     Tables compare by their fields, and their attributes are read-only.
     """
 
-    __slots__ = ("degree", "key", "values", "provenance")
+    __slots__ = ("degree", "key", "numerators", "den", "provenance")
 
     def __init__(self, degree: int, key: str, values: dict, provenance: str = ""):
         if key not in ("ctype", "ccomp"):
@@ -105,8 +106,13 @@ class CoefficientTable:
             except (TypeError, ValueError, OverflowError):
                 message = f"weight {value!r} at the {key} class {index!r} is not a number"
                 raise ValueError(message) from None
-        for name, value in zip(self.__slots__, (degree, key, values, provenance)):
+        numerators, den = qsym._integer_terms(values)
+        for name, value in zip(self.__slots__, (degree, key, dict(numerators), den, provenance)):
             object.__setattr__(self, name, value)
+
+    @property
+    def values(self) -> dict:
+        return {index: Fraction(w, self.den) for index, w in self.numerators.items()}
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"CoefficientTable is read-only: cannot change {name!r}")
@@ -119,11 +125,13 @@ class CoefficientTable:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        names = ("degree", "key", "values", "provenance")
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"CoefficientTable({fields})"
 
     def __call__(self, index) -> Fraction:
-        return self.values[as_partition(index) if self.key == "ctype" else as_composition(index)]
+        index = as_partition(index) if self.key == "ctype" else as_composition(index)
+        return Fraction(self.numerators[index], self.den)
 
 
 def _check_classes(degree, key: str, values: dict) -> None:
@@ -151,13 +159,13 @@ def character_class_function(lam) -> CoefficientTable:
 
 def trivial_character(n: int) -> CoefficientTable:
     """The constant class function 1."""
-    values = dict.fromkeys(enumerate_partitions(n), Fraction(1))
+    values = dict.fromkeys(enumerate_partitions(n), 1)
     return CoefficientTable(n, "ctype", values, "constant 1")
 
 
 def sign_character(n: int) -> CoefficientTable:
     """The class function (-1)^(n - number of parts of the cycle type)."""
-    values = {mu: Fraction(-1 if (n - len(mu)) % 2 else 1) for mu in enumerate_partitions(n)}
+    values = {mu: -1 if (n - len(mu)) % 2 else 1 for mu in enumerate_partitions(n)}
     return CoefficientTable(n, "ctype", values, "sign")
 
 

@@ -3,20 +3,19 @@
 Every matrix function here is one weighted_perm_sum: the matrix's class
 sums, one exact sum of diagonal products per cycle composition, contracted
 with a per-class weight vector.  The whole pass runs in integers: rows are
-scaled to integers, and the contraction brings the weights over one common
-denominator (ctype class sums are first bucketed by cycle type), so one
-Fraction is built per call.  The weights are a named CoefficientTable
-keyed by cycle type or by cycle composition: a character for the permanent,
-determinant and immanants, the hook rule for the fast hook path, and
-otherwise the table read from a quasisymmetric element.  Each is built once
-and kept in one bounded LRU cache, keyed by its builder and the order,
-shape or element it is built from.  class_sums is a subset DP in integers:
-Held-Karp path sums give the sum of cyclic products on each index set, and
-chaining those cycles in min-first order gives the class sums.  Both
-stages visit only the index sets reachable along nonzero entries, never all
-2^n: a dense matrix costs about 4^n/12 (covered set, cycle) pairs, 88 000
-at n = 10 against 10! leaves, and a banded one far fewer.  The permutation
-walk it replaced is a test oracle.
+scaled to integers, and the contraction is one integer dot product with the
+table's numerators, so one Fraction is built per call.  The weights are a
+named CoefficientTable keyed by cycle type or by cycle composition: a
+character for the permanent, determinant and immanants, the hook rule for
+the fast hook path, and otherwise the table read from a quasisymmetric
+element.  Each is built once and kept in one bounded LRU cache, keyed by
+its builder and the order, shape or element it is built from.  class_sums
+is a subset DP in integers: Held-Karp path sums give the sum of cyclic
+products on each index set, and chaining those cycles in min-first order
+gives the class sums.  Both stages visit only the index sets reachable
+along nonzero entries, never all 2^n: a dense matrix costs about 4^n/12
+(covered set, cycle) pairs, 88 000 at n = 10 against 10! leaves, and a
+banded one far fewer.  The permutation walk it replaced is a test oracle.
 """
 
 from __future__ import annotations
@@ -70,6 +69,9 @@ class SquareMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
+        sequence = (list, tuple)  # text or bytes would be read one character at a time
+        if not isinstance(rows, sequence) or not all(isinstance(row, sequence) for row in rows):
+            raise ValueError("matrix must be a list of rows, each a list of entries")
         converted = [tuple(map(_exact_entry, row)) for row in rows]
         n = len(converted)
         if n == 0 or any(len(row) != n for row in converted):
@@ -193,29 +195,20 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
 def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
     """Sum over permutations of table weight times the product of picked entries.
 
-    The contraction of class_sums(a) with the table, in integers: a ccomp
-    table reads each cycle composition; for a ctype table the class sums are
-    first added into one bucket per cycle type, p(n) of them, not 2^(n-1).
-    Each weight read (a Fraction, as CoefficientTable stores it) is brought
-    over den, the lcm of their denominators, so one Fraction is built per
-    call.
+    The contraction of class_sums(a) with the table is one integer dot
+    product: each class sum times the table's numerator at its cycle
+    composition (ccomp) or at its sorted cycle type (ctype), over the
+    table's den and the matrix's scale.
     """
     if table.degree != a.n:
         raise ValueError(f"table degree {table.degree} does not match matrix dimension {a.n}")
     sums, scale = class_sums(a)
-    values = table.values
+    weights = table.numerators
     if table.key == "ctype":
-        buckets = {}
-        for alpha, s in sums.items():
-            mu = sort_composition(alpha)
-            buckets[mu] = buckets.get(mu, 0) + s
-        sums = buckets
-    den = math.lcm(*(values[index].denominator for index in sums))
-    total = 0
-    for index, s in sums.items():
-        w = values[index]
-        total += w.numerator * (den // w.denominator) * s
-    return Fraction(total, den * scale)
+        total = sum(weights[sort_composition(alpha)] * s for alpha, s in sums.items())
+    else:
+        total = sum(weights[alpha] * s for alpha, s in sums.items())
+    return Fraction(total, table.den * scale)
 
 
 def permanent(a: SquareMatrix) -> Fraction:
@@ -302,13 +295,13 @@ def _element_table(q: QSym, variant: str) -> CoefficientTable:
     n = q.degree()
     if not is_symmetric(q):
         factorial = math.factorial(n)
-        values = dict.fromkeys(compositions(n), Fraction(0))
+        values = dict.fromkeys(compositions(n), 0)
         values.update((alpha, factorial * c) for alpha, c in to_coords(q, variant).coeffs.items())
         return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
     if variant != "Psi":  # the cycle-type table does not depend on the variant
         return _weights(_element_table, q, "Psi")
     weights = p_weights(q)
-    values = {mu: weights.get(mu, Fraction(0)) for mu in enumerate_partitions(n)}
+    values = {mu: weights.get(mu, 0) for mu in enumerate_partitions(n)}
     return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
 
 

@@ -220,9 +220,7 @@ def verify_worked_examples(max_n: int = 8) -> Report:
     )
 
     table = qimm_coefficient_table(quasischur((2, 1)), "Psi")
-    got_qimm = {
-        sigma: table.values[cycle_composition(sigma)] for sigma in enumerate_permutations(3)
-    }
+    got_qimm = {sigma: table(cycle_composition(sigma)) for sigma in enumerate_permutations(3)}
     report.add(
         "qimm-3x3-weights", _format_sigma_table(_QIMM_3X3_TABLE), _format_sigma_table(got_qimm)
     )

@@ -19,6 +19,7 @@ from quasimm.characters import (
     trivial_character,
 )
 from quasimm.combinatorics import (
+    compositions,
     cycle_type,
     enumerate_partitions,
     enumerate_permutations,
@@ -268,6 +269,50 @@ def test_table_stores_every_weight_as_a_fraction():
     assert table.values == {(2,): Fraction(1, 2), (1, 1): Fraction(3)}
     # 3 * (1 * 4) + (1/2) * (2 * 3): the Decimal weight reads as its exact value.
     assert weighted_perm_sum(SquareMatrix([[1, 2], [3, 4]]), table) == 15
+
+
+def _assert_integers_over_least_denominator(table):
+    numerators, den, values = table.numerators, table.den, table.values
+    assert den >= 1 and math.gcd(den, *numerators.values()) == 1
+    assert list(numerators) == list(values)
+    assert all(Fraction(numerators[i], den) == values[i] == table(i) for i in values)
+    assert CoefficientTable(table.degree, table.key, values, table.provenance) == table
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_builder_keeps_integers_over_one_least_denominator(n):
+    from quasimm import engine
+    from quasimm.qsym import QSym, is_symmetric, power_sym, quasischur
+
+    tables = [trivial_character(n), sign_character(n)]
+    tables += [character_class_function(lam) for lam in enumerate_partitions(n)]
+    tables += [engine._hook_table(n)] if n >= 3 else []
+    elements = [quasischur(alpha) for alpha in compositions(n)]
+    elements.append(QSym("M", {(1,) * n: Fraction(1, 7), (n,): Fraction(-2, 3)}))
+    for build in (schur_sym, elementary_sym, homogeneous_sym, monomial_sym, power_sym):
+        elements += [build(lam) for lam in enumerate_partitions(n)]
+    for q in elements:
+        variants = ("Psi",) if is_symmetric(q) else ("Psi", "Phi")
+        tables += [engine._element_table(q, variant) for variant in variants]
+    assert {table.key for table in tables} == ({"ctype", "ccomp"} if n >= 3 else {"ctype"})
+    assert any(table.den > 1 for table in tables)
+    for table in tables:
+        _assert_integers_over_least_denominator(table)
+
+
+def test_mixed_weights_share_one_least_denominator():
+    values = {(3,): Decimal("0.25"), (1, 2): Fraction(2, 3), (2, 1): 5, (1, 1, 1): Fraction(-7, 6)}
+    table = CoefficientTable(3, "ccomp", values, "mixed")
+    assert table.den == 12
+    assert table.numerators == {(3,): 3, (1, 2): 8, (2, 1): 60, (1, 1, 1): -14}
+    for index, value in values.items():
+        assert table(index) == table.values[index] == Fraction(value)
+        assert type(table(index)) is Fraction
+    _assert_integers_over_least_denominator(table)
+    # Equal weights written over other denominators give the library's own table.
+    spelled = CoefficientTable(2, "ctype", {(2,): Fraction(-4, 4), (1, 1): Decimal("1.0")}, "sign")
+    assert (spelled.numerators, spelled.den) == ({(2,): -1, (1, 1): 1}, 1)
+    assert spelled == sign_character(2)
 
 
 def test_incomplete_table_fails_whatever_the_matrix():

@@ -315,6 +315,9 @@ _ERROR_MATRICES = {
     "one.csv": "5\n",
     "huge.csv": "1" * 4301 + ",1\n1,1\n",
     "null.json": '{"entries": [[null, 1], [1, 1]]}',
+    "text-rows.json": '{"n": 2, "entries": ["12", "34"]}',
+    "dict-entries.json": '{"entries": {"ab": 1}}',
+    "null-entries.json": '{"entries": null}',
 }
 
 
@@ -338,6 +341,12 @@ _ERROR_MATRICES = {
         pytest.param(("det", "{dir}/huge.csv"), 1, "malformed matrix in", id="entry-over-digit-limit"),
         pytest.param(("det", "{dir}/null.json"), 1, "matrix entry None is not an integer or a/b",
                      id="null-entry"),
+        pytest.param(("det", "{dir}/text-rows.json"), 1,
+                     "matrix must be a list of rows, each a list of entries", id="text-rows"),
+        pytest.param(("det", "{dir}/dict-entries.json"), 1,
+                     "matrix must be a list of rows, each a list of entries", id="dict-entries"),
+        pytest.param(("qimm", "{dir}/null-entries.json", "qs", "2"), 1,
+                     "matrix must be a list of rows, each a list of entries", id="null-entries"),
         pytest.param(("verify", "all", "--max-n", "17"), 2,
                      "the Toeplitz sweep stops at order 16, so 17 is too large", id="verify-past-limit"),
     ],

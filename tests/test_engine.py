@@ -168,6 +168,20 @@ def test_non_numeric_entries_are_named(entry):
     assert SquareMatrix([[Decimal("0.5")]]) == SquareMatrix([[Fraction(1, 2)]])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [["12", "34"], [b"\x01\x02", b"\x03\x04"], {"ab": 1}, None, [[1, 2], "34"]],
+    ids=["text-rows", "bytes-rows", "dict", "none", "one-text-row"],
+)
+def test_rows_must_be_lists_of_entries(rows):
+    message = "matrix must be a list of rows, each a list of entries"
+    with pytest.raises(ValueError, match=message):
+        SquareMatrix(rows)
+    with pytest.raises(ValueError, match=message):
+        matrix_from_json_dict({"n": 2, "entries": rows})
+    assert SquareMatrix(([1, 2], (3, 4))) == SquareMatrix([[1, 2], [3, 4]])
+
+
 def test_text_entries_accept_signed_integers_and_ratios(tmp_path):
     expected = SquareMatrix([[-3, 4], [Fraction(1, 2), 1]])
     csv_path = tmp_path / "good.csv"
