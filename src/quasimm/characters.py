@@ -19,7 +19,9 @@ from .combinatorics import (
     compositions,
     cycles,
     enumerate_partitions,
+    exact,
     format_parts,
+    integer_terms,
     sort_composition,
     z_of_composition,
 )
@@ -84,7 +86,7 @@ class CoefficientTable:
     partition of the degree) or "ccomp" (indexed by cycle composition,
     defined on every composition of the degree); a table whose degree is
     not a nonnegative int, whose classes are not exactly these, or that
-    holds a floating-point, boolean or non-numeric weight, is refused.
+    holds a weight that combinatorics.exact does not accept, is refused.
     The weights are kept as integer numerators over den, their least
     common denominator; values is the {class: Fraction} view of them.
     provenance names the construction that produced the weights.
@@ -98,15 +100,10 @@ class CoefficientTable:
             raise ValueError(f"unknown table key {key!r}; expected 'ctype' or 'ccomp'")
         values = dict(values)  # a copy, so the checks below keep holding
         _check_classes(degree, key, values)
-        for index, value in values.items():
-            if isinstance(value, (float, bool)):
-                qsym._check_exact(value, f"weights (at the {key} class {index!r})")
-            try:
-                values[index] = Fraction(value)
-            except (TypeError, ValueError, OverflowError):
-                message = f"weight {value!r} at the {key} class {index!r} is not a number"
-                raise ValueError(message) from None
-        numerators, den = qsym._integer_terms(values)
+        values = {
+            i: exact(w, "weights (at the %s class %r): %r", key, i, w) for i, w in values.items()
+        }
+        numerators, den = integer_terms(values)
         for name, value in zip(self.__slots__, (degree, key, dict(numerators), den, provenance)):
             object.__setattr__(self, name, value)
 

@@ -18,10 +18,6 @@ from . import qsym
 from .combinatorics import as_partition, parse_parts
 
 
-class UsageError(Exception):
-    """Bad arguments: a malformed index, or a verify scope with nothing to check."""
-
-
 class InputError(Exception):
     """Unreadable or malformed input file."""
 
@@ -41,10 +37,7 @@ _BASIS_BUILDERS = {
 def _parse_index(text: str):
     """Parse a comma-separated index, expanding exponent shorthand like 1^4."""
     expanded = _EXPONENT.sub(lambda m: ",".join([m.group(1)] * int(m.group(2))), text)
-    try:
-        return parse_parts(expanded)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return parse_parts(expanded)
 
 
 def _build_element(basis: str, index_text: str) -> qsym.QSym:
@@ -132,7 +125,7 @@ def cmd_verify(args) -> int:
     try:
         report = sweeps[args.scope](*(() if args.max_n is None else (args.max_n,)))
     except ValueError as exc:  # a sweep of the scope selects no order, or too many
-        raise UsageError(f"verify {args.scope} with --max-n {args.max_n}: {exc}") from exc
+        raise ValueError(f"verify {args.scope} with --max-n {args.max_n}: {exc}") from exc
     print(verification.render_table(report))
     if args.json:
         _write_json(args.json, report.to_json_dict())
@@ -208,7 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InputError, OSError) as exc:

@@ -1,22 +1,54 @@
-"""Integer partitions, compositions, permutations, and cycle statistics.
+"""Integer partitions, compositions, permutations, cycle statistics, and exact numbers.
 
 Conventions used throughout the package: a partition is a weakly
 decreasing tuple of positive integers, a composition is any tuple of
 positive integers, and a permutation of {1..n} is a tuple of its images
 in one-line notation.  The empty tuple is the unique partition,
-composition, and permutation of order 0.
+composition, and permutation of order 0.  Every number read from a
+caller (a matrix entry, a coefficient, a scalar or a weight) passes one
+rule, exact, and becomes a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+from fractions import Fraction
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
 PERMUTATION_LIMIT = 10  # 10! = 3 628 800 tuples; each order past it multiplies that
+
+# Text numbers: an optionally signed integer, or such an integer over a nonzero one.
+_EXACT_TEXT = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def exact(value, name: str, *args) -> Fraction:
+    """value as a Fraction: an int, a rational number, a finite Decimal, or text by the text rule.
+
+    Anything else, floats and booleans included, is refused with a ValueError
+    naming the value by name % args, formatted only then.
+    """
+    if isinstance(value, (bool, float)):
+        name = ("boolean " if isinstance(value, bool) else "floating-point ") + name
+    elif isinstance(value, str):
+        if _EXACT_TEXT.fullmatch(value.strip()):
+            return Fraction(value)  # past the int-to-text digit limit, int() raises its own error
+    else:
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name % args} is not an integer or a/b")
+
+
+def integer_terms(coeffs: dict):
+    """The terms with Fraction coefficients times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    return [(beta, c.numerator * (scale // c.denominator)) for beta, c in coeffs.items()], scale
 
 
 def as_composition(parts) -> Composition:

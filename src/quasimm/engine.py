@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,27 +39,10 @@ from .combinatorics import (
     compositions,
     count_perms_with_ctype,
     enumerate_partitions,
+    exact,
     sort_composition,
 )
 from .qsym import QSym, elementary_sym, is_symmetric, monomial_sym, p_weights, to_coords
-
-
-# Text entries: an optionally signed integer, or such an integer over a nonzero one.
-_ENTRY_TEXT = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def _exact_entry(entry) -> Fraction:
-    """A matrix entry as a Fraction: an int, a rational number, or text by the entry rule."""
-    if isinstance(entry, float):
-        raise ValueError("floating-point entries are not accepted")
-    if isinstance(entry, str) and _ENTRY_TEXT.fullmatch(entry.strip()):
-        return Fraction(entry)  # past the int-to-text digit limit, int() raises its own error
-    if not isinstance(entry, (bool, str)):
-        try:
-            return Fraction(entry)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"matrix entry {entry!r} is not an integer or a/b")
 
 
 class SquareMatrix:
@@ -72,7 +54,7 @@ class SquareMatrix:
         sequence = (list, tuple)  # text or bytes would be read one character at a time
         if not isinstance(rows, sequence) or not all(isinstance(row, sequence) for row in rows):
             raise ValueError("matrix must be a list of rows, each a list of entries")
-        converted = [tuple(map(_exact_entry, row)) for row in rows]
+        converted = [tuple(exact(e, "matrix entry %r", e) for e in row) for row in rows]
         n = len(converted)
         if n == 0 or any(len(row) != n for row in converted):
             raise ValueError("matrix must be square and nonempty")

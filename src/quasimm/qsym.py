@@ -21,7 +21,9 @@ from .combinatorics import (
     as_partition,
     compositions,
     dominance_key,
+    exact,
     format_parts,
+    integer_terms,
     mask_composition,
     sort_composition,
     z_of,
@@ -29,13 +31,6 @@ from .combinatorics import (
 )
 
 BASES = ("M", "Psi", "Phi")
-
-
-def _check_exact(value, what: str) -> None:
-    """Refuse floats, which are inexact, and booleans, which only pass for integers."""
-    if isinstance(value, (float, bool)):
-        kind = "boolean" if isinstance(value, bool) else "floating-point"
-        raise ValueError(f"{kind} {what} are not accepted")
 
 
 class QSym:
@@ -54,9 +49,9 @@ class QSym:
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         clean: dict = {}
         for alpha, c in items:
-            _check_exact(c, "coefficients")
+            c = exact(c, "coefficient %r at %r", c, alpha)
             alpha = as_composition(alpha)
-            clean[alpha] = clean.get(alpha, Fraction(0)) + Fraction(c)
+            clean[alpha] = clean.get(alpha, Fraction(0)) + c
         self.basis = basis
         self.coeffs = {a: c for a, c in clean.items() if c}
         self._hash = None
@@ -111,8 +106,7 @@ class QSym:
     def __mul__(self, other):
         if isinstance(other, QSym):
             return m_product(self, other)
-        _check_exact(other, "scalars")
-        scalar = Fraction(other)
+        scalar = exact(other, "scalar %r", other)
         return QSym._made(self.basis, {a: c * scalar for a, c in self.coeffs.items() if scalar})
 
     def __rmul__(self, other):
@@ -181,7 +175,7 @@ def m_product(x: QSym, y: QSym) -> QSym:
     """
     if x.basis != "M" or y.basis != "M":
         raise ValueError("m_product needs both factors in M coordinates")
-    (xs, sx), (ys, sy) = _integer_terms(x.coeffs), _integer_terms(y.coeffs)
+    (xs, sx), (ys, sy) = integer_terms(x.coeffs), integer_terms(y.coeffs)
     acc: defaultdict = defaultdict(int)
     memo: dict = {}
     for alpha, a in xs:
@@ -359,7 +353,7 @@ def to_coords(q: QSym, target: str) -> QSym:
         return q
     if q.basis != "M":
         phi = q.basis == "Phi"  # prod(b) over the blocks is prod(alpha): taken up front
-        terms, scale = _integer_terms(
+        terms, scale = integer_terms(
             {a: c * z_of_composition(a) / (math.prod(a) if phi else 1) for a, c in q.coeffs.items()}
         )
         sums = _mask_pass(terms, True, _to_m, phi)
@@ -368,7 +362,7 @@ def to_coords(q: QSym, target: str) -> QSym:
         if target == "M":
             return q
     phi = target == "Phi"
-    terms, scale = _integer_terms(q.coeffs)
+    terms, scale = integer_terms(q.coeffs)
     sums = _mask_pass(terms, phi, _to_power, phi)
     out = {
         a: Fraction(s, scale * z_of_composition(a) * (math.factorial(sum(a)) if phi else 1))
@@ -480,12 +474,6 @@ def _to_m(n, values: dict, phi: bool) -> dict:
     return {mask: held[0] for mask, held in states.items()}
 
 
-def _integer_terms(coeffs: dict):
-    """The terms with coefficients times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    return [(beta, c.numerator * (scale // c.denominator)) for beta, c in coeffs.items()], scale
-
-
 def _rearrangement_count(lam) -> int:
     count = math.factorial(len(lam))
     for _, group in itertools.groupby(lam):
@@ -523,7 +511,7 @@ def p_weights(q: QSym) -> dict:
     """
     if q.basis != "M":
         return {mu: z_of(mu) * c for mu, c in q.coeffs.items() if sort_composition(mu) == mu}
-    terms, scale = _integer_terms(q.coeffs)
+    terms, scale = integer_terms(q.coeffs)
     sums = _mask_pass(terms, False, _to_power, False, True)
     return {mu: Fraction(s, scale) for mu, s in sums.items()}
 

@@ -1,9 +1,12 @@
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from quasimm import CoefficientTable, QSym, SquareMatrix
 from quasimm.combinatorics import (
     PERMUTATION_LIMIT,
     as_composition,
@@ -269,3 +272,49 @@ def test_parse_parts_rejects_garbage():
         parse_parts("0,1")
     assert parse_parts("") == ()
     assert parse_parts(" 2,1 ") == (2, 1)
+
+
+# Each door by which a caller hands the package a number, read back as the Fraction it stored.
+_DOORS = {
+    "matrix entry": lambda v: SquareMatrix([[v]]).entry(1, 1),
+    "coefficient": lambda v: QSym("M", {(1,): v}).coefficient((1,)),
+    "scalar": lambda v: (QSym.unit() * v).coefficient(()),
+    "weight": lambda v: CoefficientTable(1, "ctype", {(1,): v})((1,)),
+}
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (3, Fraction(3)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Decimal("0.5"), Fraction(1, 2)),
+        ("1/2", Fraction(1, 2)),
+        (" -3 ", Fraction(-3)),
+        ("0.5", ""),
+        ("1e3", ""),
+        ("x", ""),
+        (0.5, "floating-point "),
+        (True, "boolean "),
+        (None, ""),
+        (1j, ""),
+        (Decimal("NaN"), ""),
+        (Decimal("Infinity"), ""),
+    ],
+    ids=["int", "fraction", "decimal", "text-a/b", "text-padded", "text-decimal", "text-exponent",
+         "text-word", "float", "bool", "none", "complex", "nan", "infinity"],
+)
+def test_every_door_reads_a_number_by_one_rule(value, expected):
+    """Each door stores the same Fraction, or refuses with a ValueError naming the value.
+
+    A refused float or boolean says so first.
+    """
+    for door, read in _DOORS.items():
+        if isinstance(expected, Fraction):
+            stored = read(value)
+            assert stored == expected and type(stored) is Fraction, door
+            continue
+        with pytest.raises(ValueError, match="is not an integer or a/b") as refused:
+            read(value)
+        message = str(refused.value)
+        assert message.startswith(expected) and repr(value) in message, door

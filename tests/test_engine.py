@@ -72,12 +72,13 @@ def _sparse_matrix(rng, n):
 
 def _unpruned_sum(a, table):
     key_fn = cycle_type if table.key == "ctype" else cycle_composition
+    values = table.values  # a view built on each read: read it once
     total = Fraction(0)
     for sigma in enumerate_permutations(a.n):
         prod = Fraction(1)
         for i, j in enumerate(sigma, start=1):
             prod *= a.entry(i, j)
-        total += table.values[key_fn(sigma)] * prod
+        total += values[key_fn(sigma)] * prod
     return total
 
 
