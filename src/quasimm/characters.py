@@ -10,6 +10,7 @@ transform.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import qsym
 from .combinatorics import (
@@ -90,7 +91,7 @@ class CoefficientTable:
     The weights are kept as integer numerators over den, their least
     common denominator; values is the {class: Fraction} view of them.
     provenance names the construction that produced the weights.
-    Tables compare by their fields, and their attributes are read-only.
+    Tables compare by their fields; their attributes and numerators are read-only.
     """
 
     __slots__ = ("degree", "key", "numerators", "den", "provenance")
@@ -104,7 +105,8 @@ class CoefficientTable:
             i: exact(w, "weights (at the %s class %r): %r", key, i, w) for i, w in values.items()
         }
         numerators, den = integer_terms(values)
-        for name, value in zip(self.__slots__, (degree, key, dict(numerators), den, provenance)):
+        numerators = MappingProxyType(dict(numerators))
+        for name, value in zip(self.__slots__, (degree, key, numerators, den, provenance)):
             object.__setattr__(self, name, value)
 
     @property
@@ -128,6 +130,8 @@ class CoefficientTable:
 
     def __call__(self, index) -> Fraction:
         index = as_partition(index) if self.key == "ctype" else as_composition(index)
+        if index not in self.numerators:
+            raise ValueError(f"{self.key} table of degree {self.degree} has no class {index!r}")
         return Fraction(self.numerators[index], self.den)
 
 

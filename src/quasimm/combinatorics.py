@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 Composition = tuple[int, ...]
@@ -30,13 +31,19 @@ def exact(value, name: str, *args) -> Fraction:
     """value as a Fraction: an int, a rational number, a finite Decimal, or text by the text rule.
 
     Anything else, floats and booleans included, is refused with a ValueError
-    naming the value by name % args, formatted only then.
+    naming the value by name % args, formatted only then; so is text past the
+    interpreter's int-to-text digit limit, cut to its first characters.
     """
     if isinstance(value, (bool, float)):
         name = ("boolean " if isinstance(value, bool) else "floating-point ") + name
     elif isinstance(value, str):
         if _EXACT_TEXT.fullmatch(value.strip()):
-            return Fraction(value)  # past the int-to-text digit limit, int() raises its own error
+            try:
+                return Fraction(value)
+            except ValueError:  # past the int-to-text digit limit
+                args = tuple(value[:12] + "..." if arg is value else arg for arg in args)
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"{name % args} has more than {limit} digits") from None
     else:
         try:
             return Fraction(value)

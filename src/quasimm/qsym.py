@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
+from types import MappingProxyType
 
 from .combinatorics import (
     as_composition,
@@ -36,9 +38,9 @@ BASES = ("M", "Psi", "Phi")
 class QSym:
     """Finite linear combination of basis terms, tagged by coordinate basis.
 
-    Instances are immutable and hashable; coefficients are Fractions in
-    lowest terms and zero coefficients are never stored.  Mixed degrees
-    are allowed, but conversions handle each degree separately.
+    Instances are immutable and hashable; coeffs is a read-only mapping to
+    Fractions in lowest terms, and zero coefficients are never stored.
+    Mixed degrees are allowed, but conversions handle each degree separately.
     """
 
     __slots__ = ("basis", "coeffs", "_hash")
@@ -46,21 +48,21 @@ class QSym:
     def __init__(self, basis: str, coeffs=()):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict = {}
         for alpha, c in items:
             c = exact(c, "coefficient %r at %r", c, alpha)
             alpha = as_composition(alpha)
             clean[alpha] = clean.get(alpha, Fraction(0)) + c
         self.basis = basis
-        self.coeffs = {a: c for a, c in clean.items() if c}
+        self.coeffs = MappingProxyType({a: c for a, c in clean.items() if c})
         self._hash = None
 
     @classmethod
     def _made(cls, basis: str, coeffs: dict) -> "QSym":
         """An element from terms the library built itself: compositions to nonzero Fractions."""
         q = object.__new__(cls)
-        q.basis, q.coeffs, q._hash = basis, coeffs, None
+        q.basis, q.coeffs, q._hash = basis, MappingProxyType(coeffs), None
         return q
 
     @classmethod
@@ -197,15 +199,19 @@ def monomial_sym(lam) -> QSym:
 
 
 def _rearrangements(parts: tuple) -> list:
-    """Distinct orderings of the multiset of parts, led in turn by each distinct part."""
-    if not parts:
-        return [()]
-    return [
-        (p,) + rest
-        for i, p in enumerate(parts)
-        if p not in parts[:i]
-        for rest in _rearrangements(parts[:i] + parts[i + 1 :])
-    ]
+    """Distinct orderings of the parts: each run of m equal parts takes every m places in turn."""
+    out: list = [()]
+    for p, run in itertools.groupby(parts):
+        m = len(tuple(run))
+        grown = []
+        for rest in out:
+            for places in itertools.combinations(range(len(rest) + m), m):
+                row = list(rest)
+                for i in places:
+                    row.insert(i, p)
+                grown.append(tuple(row))
+        out = grown
+    return out
 
 
 def power_sym(lam) -> QSym:
@@ -227,55 +233,38 @@ def homogeneous_sym(lam) -> QSym:
 def schur_sym(lam) -> QSym:
     """s_lam as the sum of F_Des(T) over the standard Young tableaux T of shape lam.
 
-    Values 1..n fill the diagram corner by corner; i is a descent when i+1
-    lies in a strictly lower row (Gessel's fundamental expansion).
+    Values 1..n fill the diagram, so each new value is the largest so far:
+    a row may grow while the row above it is longer.  i is a descent when
+    i+1 lies in a strictly lower row (Gessel's fundamental expansion).
     """
     lam = as_partition(lam)
     counts = _descent_counts(
         lam,
         range(1, sum(lam) + 1),
-        lambda grid, j, k, v: j == 0 or grid[j - 1][k] > 0,
-        lambda cell, after: after[0] > cell[0],
+        lambda filled, j: j == 0 or filled[j - 1] > filled[j],
+        lambda before, cell: cell[0] > before[0],
     )
     return _from_fundamentals(sum(lam), counts)
-
-
-def _admissible(rows, alpha, j, k, v) -> bool:
-    """Whether v may sit in cell (j, k) of a composition tableau, given the cells filled so far.
-
-    rows holds 0 in empty cells.  Rows weakly decrease left to right, the
-    first column strictly increases top to bottom, and on the rectangle
-    obtained by zero-padding every row to the maximum part m, any cells
-    (i,k) above (j,k) with 2 <= k must satisfy: a nonzero entry at (j,k)
-    that is >= the entry at (i,k) must exceed the entry at (i,k-1).
-    """
-    if k == 0:
-        return j == 0 or v > rows[j - 1][0]
-    if v > rows[j][k - 1]:
-        return False
-    for i in range(j):
-        right = rows[i][k] if k < alpha[i] else 0
-        left = rows[i][k - 1] if k - 1 < alpha[i] else 0
-        if right <= v <= left:
-            return False
-    return True
 
 
 def quasischur(alpha) -> QSym:
     """Quasi-Schur element of shape alpha: sum of F_Des(T) over its standard composition tableaux.
 
-    Values n..1 fill the diagram; a row starts only after the row below it,
-    as the first column increases downwards.  An empty cell then holds a
-    smaller value, so the _admissible rule applies as it stands; i is a
-    descent when i+1 lies in a column weakly right of i's.
+    Values n..1 fill the diagram, so each new value is the smallest so far
+    and the composition-tableau rule reads only the row lengths: a row
+    starts once the row below it has started (the first column increases
+    downwards), and it grows from k to k+1 cells unless a row above it
+    holds exactly k.  i is a descent when i+1 lies in a column weakly right
+    of i's.
     """
     alpha = as_composition(alpha)
     counts = _descent_counts(
         alpha,
         range(sum(alpha), 0, -1),
-        lambda grid, j, k, v: (k > 0 or j + 1 == len(alpha) or grid[j + 1][0] > 0)
-        and _admissible(grid, alpha, j, k, v),
-        lambda cell, after: after[1] >= cell[1],
+        lambda filled, j: filled[j] not in filled[:j]
+        if filled[j]
+        else j + 1 == len(filled) or filled[j + 1] > 0,
+        lambda before, cell: before[1] >= cell[1],
     )
     return _from_fundamentals(sum(alpha), counts)
 
@@ -283,30 +272,29 @@ def quasischur(alpha) -> QSym:
 def _descent_counts(shape, values, fits, descent) -> Counter:
     """Histogram of descent masks over the standard fillings of shape.
 
-    Values are placed in the given order, each in the first empty cell of a
-    row where fits(grid, row, column, value) holds (grid holds 0 in empty
-    cells); bit i-1 of a mask is set when descent(cell of i, cell of i+1).
+    Values are placed in the given order, each at the end of a row j that is
+    not full and where fits(filled, j) holds, filled being the number of
+    cells each row holds.  Bit i-1 of a mask is set when i, the smaller of
+    two values placed one after the other, is a descent: descent(cell of the
+    first, cell of the second).  Fillings with the same row lengths and the
+    same last row share their future, so one pass over the values keeps one
+    mask histogram per such state.
     """
-    n = len(values)
-    grid = [[0] * width for width in shape]
-    filled = [0] * len(shape)
-    at = [None] * (n + 1)  # at[v]: the (row, column) holding v
-    counts: Counter = Counter()
-
-    def grow(step):
-        if step == n:
-            counts[sum(1 << (i - 1) for i in range(1, n) if descent(at[i], at[i + 1]))] += 1
-            return
-        v = values[step]
-        for j, width in enumerate(shape):
-            k = filled[j]
-            if k < width and fits(grid, j, k, v):
-                grid[j][k], filled[j], at[v] = v, k + 1, (j, k)
-                grow(step + 1)
-                grid[j][k], filled[j] = 0, k
-
-    grow(0)
-    return counts
+    states = {((0,) * len(shape), None): Counter({0: 1})}
+    for step, v in enumerate(values):
+        bit = 1 << (min(v, values[step - 1]) - 1) if step else 0
+        grown: defaultdict = defaultdict(Counter)
+        for (filled, last), masks in states.items():
+            for j, width in enumerate(shape):
+                k = filled[j]
+                if k == width or not fits(filled, j):
+                    continue
+                on = bit if bit and descent((last, filled[last] - 1), (j, k)) else 0
+                grown[filled[:j] + (k + 1,) + filled[j + 1 :], j].update(
+                    {mask | on: c for mask, c in masks.items()}
+                )
+        states = grown
+    return sum(states.values(), Counter())  # one state per last row: the outer corners
 
 
 def _from_fundamentals(n, counts) -> QSym:
@@ -356,14 +344,14 @@ def to_coords(q: QSym, target: str) -> QSym:
         terms, scale = integer_terms(
             {a: c * z_of_composition(a) / (math.prod(a) if phi else 1) for a, c in q.coeffs.items()}
         )
-        sums = _mask_pass(terms, True, _to_m, phi)
+        sums = _mask_pass(terms, _to_m, phi)
         out = {a: Fraction(s, scale * math.factorial(sum(a))) for a, s in sums.items()}
         q = QSym._made("M", out)
         if target == "M":
             return q
     phi = target == "Phi"
     terms, scale = integer_terms(q.coeffs)
-    sums = _mask_pass(terms, phi, _to_power, phi)
+    sums = _mask_pass(terms, _to_power, phi)
     out = {
         a: Fraction(s, scale * z_of_composition(a) * (math.factorial(sum(a)) if phi else 1))
         for a, s in sums.items()
@@ -371,13 +359,8 @@ def to_coords(q: QSym, target: str) -> QSym:
     return QSym._made(target, out)
 
 
-def _mask_pass(terms, factorial: bool, run, *args) -> dict:
-    """{composition: integer} of run(n, {mask: c}, *args) at each degree n of the terms (alpha, c).
-
-    With factorial set, each c enters times n!: then every division of a
-    pass is exact, as the divisors met along one term's path multiply to a
-    divisor of n!.
-    """
+def _mask_pass(terms, run, *args) -> dict:
+    """{composition: integer} of run(n, {mask: c}, *args) per degree n of the terms (alpha, c)."""
     degrees: defaultdict = defaultdict(dict)
     for alpha, c in terms:
         mask = total = 0
@@ -385,7 +368,7 @@ def _mask_pass(terms, factorial: bool, run, *args) -> dict:
             total += part
             mask |= 1 << (total - 1)
         n = sum(alpha)
-        degrees[n][mask] = c * math.factorial(n) if factorial else c
+        degrees[n][mask] = c
     return {
         mask_composition(n, mask): s
         for n, values in degrees.items()
@@ -407,7 +390,8 @@ def _to_power(n, values: dict, phi: bool, partitions: bool = False) -> dict:
     partitions set, a block closes only if it is no smaller than the closed
     block on its right and no larger than the i cells on its left.
     """
-    states = {mask: [v, 0] for mask, v in values.items()}
+    scale = math.factorial(n) if phi else 1  # Phi's divisors k on one path divide n!
+    states = {mask: [v * scale, 0] for mask, v in values.items()}
     for i in range(n - 1, -1, -1):
         bit = (1 << i) >> 1
         for mask in [mask for mask in states if mask & bit] if i else list(states):
@@ -419,11 +403,6 @@ def _to_power(n, values: dict, phi: bool, partitions: bool = False) -> dict:
             else:
                 kept = held[0] * d + held[1]
             drop = mask ^ bit
-            if partitions and d > i > 0:
-                # No cut at or below i can close this block any more: all are
-                # dropped at once, each but this one flipping the sign again.
-                low = mask & ((bit << 1) - 1)
-                drop, kept = mask ^ low, kept if low.bit_count() % 2 else -kept
             if i:
                 into = states.get(drop) or states.setdefault(drop, [0, 0])
                 if phi:
@@ -453,7 +432,8 @@ def _to_m(n, values: dict, phi: bool) -> dict:
     that a block of l parts divides by l!.  A dropped cut moves the values
     to the mask without it, Phi's one part further.
     """
-    states = {mask: [v] for mask, v in values.items()}
+    scale = math.factorial(n)  # the divisors on one term's path divide n!: each division is exact
+    states = {mask: [v * scale] for mask, v in values.items()}
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
         for mask in [mask for mask in states if mask & bit] if i < n else list(states):
@@ -505,14 +485,14 @@ def p_weights(q: QSym) -> dict:
     and its Phi coordinate there too.  A Psi or Phi element is read as it
     stands.  From M, the M-to-Psi mask pass runs without the final 1/z_mu
     and drops every mask whose closed blocks cannot end as a partition, so
-    its cost follows the reachable prefixes of partitions (for e_30, 37 077
+    its cost follows the reachable prefixes of partitions (for e_30, 54 563
     mask visits for its 5604 partitions), not the 2^(n-1) masks of each
     term.  Symmetry is not checked here.
     """
     if q.basis != "M":
         return {mu: z_of(mu) * c for mu, c in q.coeffs.items() if sort_composition(mu) == mu}
     terms, scale = integer_terms(q.coeffs)
-    sums = _mask_pass(terms, False, _to_power, False, True)
+    sums = _mask_pass(terms, _to_power, False, True)
     return {mu: Fraction(s, scale) for mu, s in sums.items()}
 
 

@@ -3,7 +3,7 @@
 They favour the definition over speed: block statistics read off explicit
 descent sets, coordinates summed one closed-form row entry at a time over
 the coarsenings of each term, composition tableaux counted filling by
-filling, and the
+filling under the value-by-value triple rule (admissible), and the
 symmetric-function weights of h, e and m counted from the classical
 expansion p_mu = sum over lam of R(mu, lam) m_lam, where R(mu, lam) is the
 number of ways to deal the parts of mu into ordered blocks with sums
@@ -28,7 +28,7 @@ from quasimm.combinatorics import (
     z_of,
     z_of_composition,
 )
-from quasimm.qsym import QSym, _admissible, power_sym
+from quasimm.qsym import QSym, power_sym
 
 
 def descent_set(alpha) -> set[int]:
@@ -169,11 +169,32 @@ def coarsenings(beta) -> list[tuple[int, ...]]:
     return [alpha for alpha, _ in weighted_coarsenings(tuple(beta), lambda block: 1)]
 
 
+def admissible(rows, alpha, j, k, v) -> bool:
+    """Whether v may sit in cell (j, k) of a composition tableau, given the cells filled so far.
+
+    rows holds 0 in empty cells.  Rows weakly decrease left to right, the
+    first column strictly increases top to bottom, and on the rectangle
+    obtained by zero-padding every row to the maximum part m, any cells
+    (i,k) above (j,k) with 2 <= k must satisfy: a nonzero entry at (j,k)
+    that is >= the entry at (i,k) must exceed the entry at (i,k-1).
+    """
+    if k == 0:
+        return j == 0 or v > rows[j - 1][0]
+    if v > rows[j][k - 1]:
+        return False
+    for i in range(j):
+        right = rows[i][k] if k < alpha[i] else 0
+        left = rows[i][k - 1] if k - 1 < alpha[i] else 0
+        if right <= v <= left:
+            return False
+    return True
+
+
 def count_composition_tableaux(alpha, beta) -> int:
     """Number of fillings of the diagram of alpha with content beta.
 
     A filling places value v in beta_v cells, cell by cell in reading order,
-    where each cell takes any value that qsym._admissible allows.
+    where each cell takes any value that admissible allows.
     """
     alpha = as_composition(alpha)
     beta = as_composition(beta)
@@ -192,7 +213,7 @@ def count_composition_tableaux(alpha, beta) -> int:
         j, k = cells[pos]
         total = 0
         for v in range(1, values + 1):
-            if remaining[v] and _admissible(rows, alpha, j, k, v):
+            if remaining[v] and admissible(rows, alpha, j, k, v):
                 remaining[v] -= 1
                 rows[j][k] = v
                 total += fill(pos + 1)

@@ -434,3 +434,13 @@ def test_coefficient_families_are_integral(n):
         for mu in enumerate_partitions(n):
             assert Fraction(e_weight(lam, mu)).denominator == 1
             assert m_weight(lam, mu).denominator == 1
+
+
+def test_a_table_names_a_class_of_another_degree():
+    chi = character_class_function((2, 1))
+    with pytest.raises(ValueError, match=re.escape("ctype table of degree 3 has no class (4,)")):
+        chi((4,))
+    ccomp = CoefficientTable(2, "ccomp", {(2,): 1, (1, 1): 2})
+    with pytest.raises(ValueError, match=re.escape("ccomp table of degree 2 has no class (1, 2)")):
+        ccomp((1, 2))
+    assert chi((1, 1, 1)) == 2 and ccomp((1, 1)) == 2

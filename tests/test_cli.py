@@ -68,6 +68,18 @@ def test_expand_exponent_shorthand():
     assert mixed.stdout == plain.stdout
 
 
+def test_expand_builds_long_shapes():
+    hook, column = "1," * 998 + "1", "1," * 1199 + "1"
+    for basis, shape, expected in [
+        ("qs", "2,1^998", f"M[2,{hook[2:]}] + M[1,{hook}]"),
+        ("s", "1^1200", f"M[{column}]"),
+        ("m", "1^1200", f"M[{column}]"),
+    ]:
+        result = run_cli("expand", basis, shape)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == expected and result.stderr == ""
+
+
 def test_expand_is_deterministic():
     first = run_cli("expand", "h", "2,1")
     second = run_cli("expand", "h", "2,1")

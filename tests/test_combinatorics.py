@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -318,3 +319,15 @@ def test_every_door_reads_a_number_by_one_rule(value, expected):
             read(value)
         message = str(refused.value)
         assert message.startswith(expected) and repr(value) in message, door
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "-" + "7" * 5000, "3/" + "2" * 5000])
+def test_every_door_names_text_past_the_digit_limit(text):
+    """Text past the interpreter's int-to-text limit is refused by position, not echoed in full."""
+    limit = sys.get_int_max_str_digits()
+    for door, read in _DOORS.items():
+        with pytest.raises(ValueError, match=f"has more than {limit} digits") as refused:
+            read(text)
+        message = str(refused.value)
+        assert message.startswith(door.split()[0]) and repr(text[:12] + "...") in message, door
+        assert len(message) < 200, door

@@ -793,3 +793,20 @@ def test_matrix_functions_at_orders_one_and_two(n):
 def test_hook_fast_validation():
     with pytest.raises(ValueError):
         qimm_hook_fast(SquareMatrix([[1, 2], [3, 4]]))
+
+
+def test_cached_tables_and_elements_are_read_only():
+    a = SquareMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    perm, q = permanent(a), quasischur((2, 1))
+    value = qimm(a, q)
+    table = engine._weights(engine.trivial_character, 3)
+    with pytest.raises(TypeError):
+        table.numerators[(3,)] = 100
+    with pytest.raises(TypeError):
+        qimm_coefficient_table(q).numerators[(1, 2)] = 100
+    with pytest.raises(TypeError):
+        q.coeffs[(3,)] = 7
+    assert table.numerators[(3,)] == 1 and q == quasischur((2, 1)) == QSym("M", q.coeffs)
+    assert permanent(a) == perm == _unpruned_sum(a, engine.trivial_character(3))
+    fresh = engine._element_table(quasischur((2, 1)), "Psi")  # built outside the cache
+    assert qimm(a, q) == value == _unpruned_sum(a, fresh)

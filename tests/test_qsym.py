@@ -34,6 +34,7 @@ from quasimm.qsym import (
     to_json_dict,
 )
 from oracles import (
+    admissible,
     coordinates_by_rows,
     count_composition_tableaux,
     dominance_order,
@@ -335,6 +336,47 @@ def test_quasischur_builds_without_content_counts():
     element = quasischur(shape)
     assert element.coefficient(shape) == 1
     assert element.coefficient(ones) == standard == 28
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_count_rule_agrees_with_the_triple_rule(n):
+    """Placing n..1, the row lengths alone decide every cell of a composition tableau.
+
+    The walk follows the triple rule with rows started bottom-up; at every
+    partial filling it reaches, the count rule of quasischur (a row starts
+    once the row below has, and grows from k cells unless a row above holds
+    exactly k) gives the same verdict on each row's next cell.
+    """
+    for alpha in enumerate_compositions(n):
+        complete, stack = 0, [[[0] * width for width in alpha]]
+        while stack:
+            rows = stack.pop()
+            filled = [width - row.count(0) for row, width in zip(rows, alpha)]
+            v = n - sum(filled)
+            if not v:
+                complete += 1
+                continue
+            for j, k in enumerate(filled):
+                if k == alpha[j]:
+                    continue
+                by_triple = (k or j + 1 == len(alpha) or filled[j + 1] > 0) and admissible(
+                    rows, alpha, j, k, v
+                )
+                by_count = k not in filled[:j] if k else j + 1 == len(alpha) or filled[j + 1] > 0
+                assert by_triple == by_count, (alpha, rows, j)
+                if by_count:
+                    grown = [list(row) for row in rows]
+                    grown[j][k] = v
+                    stack.append(grown)
+        assert complete == count_composition_tableaux(alpha, (1,) * n)
+
+
+def test_tableau_builds_keep_a_flat_stack_at_degree_1000():
+    # The hook quasi-Schur element of the paper's Theorem 4, and the column shapes.
+    hook = (2,) + (1,) * 998
+    assert quasischur(hook) == M(*hook) + M(*(1,) * 1000)
+    column = (1,) * 1200
+    assert schur_sym(column) == monomial_sym(column) == elementary_sym((1200,)) == M(*column)
 
 
 def test_elements_at_degrees_beyond_whole_degree_builds():
