@@ -9,6 +9,7 @@ transform.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -24,6 +25,7 @@ from .combinatorics import (
     format_parts,
     integer_terms,
     sort_composition,
+    z_of,
     z_of_composition,
 )
 
@@ -90,6 +92,7 @@ class CoefficientTable:
     holds a weight that combinatorics.exact does not accept, is refused.
     The weights are kept as integer numerators over den, their least
     common denominator; values is the {class: Fraction} view of them.
+    from_numerators builds a table from such integers with the same checks.
     provenance names the construction that produced the weights.
     Tables compare by their fields; their attributes and numerators are read-only.
     """
@@ -97,17 +100,32 @@ class CoefficientTable:
     __slots__ = ("degree", "key", "numerators", "den", "provenance")
 
     def __init__(self, degree: int, key: str, values: dict, provenance: str = ""):
+        weights = {
+            i: exact(w, "weights (at the %s class %r): %r", key, i, w)
+            for i, w in dict(values).items()
+        }
+        made = CoefficientTable.from_numerators(degree, key, *integer_terms(weights), provenance)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(made, name))
+
+    @classmethod
+    def from_numerators(cls, degree: int, key: str, numerators, den: int, provenance: str = ""):
+        """The table of the weights numerators[class]/den, ints over an int den >= 1, reduced."""
         if key not in ("ctype", "ccomp"):
             raise ValueError(f"unknown table key {key!r}; expected 'ctype' or 'ccomp'")
-        values = dict(values)  # a copy, so the checks below keep holding
-        _check_classes(degree, key, values)
-        values = {
-            i: exact(w, "weights (at the %s class %r): %r", key, i, w) for i, w in values.items()
-        }
-        numerators, den = integer_terms(values)
-        numerators = MappingProxyType(dict(numerators))
-        for name, value in zip(self.__slots__, (degree, key, numerators, den, provenance)):
-            object.__setattr__(self, name, value)
+        numerators = dict(numerators)  # a copy, so the checks below keep holding
+        _check_classes(degree, key, numerators)
+        for index, w in numerators.items():
+            if type(w) is not int:
+                raise ValueError(f"{key} numerator at the class {index!r} is not an int: {w!r}")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"table den {den!r} is not a positive integer")
+        common = math.gcd(den, *numerators.values())
+        numerators = MappingProxyType({index: w // common for index, w in numerators.items()})
+        table = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (degree, key, numerators, den // common, provenance)):
+            object.__setattr__(table, name, value)
+        return table
 
     @property
     def values(self) -> dict:
@@ -154,20 +172,41 @@ def character_class_function(lam) -> CoefficientTable:
     lam = as_partition(lam)
     n = sum(lam)
     memo: dict = {}
-    values = {mu: _strip_recursion(lam, mu, memo) for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, f"character[{format_parts(lam)}]")
+    chi = {mu: _strip_recursion(lam, mu, memo) for mu in enumerate_partitions(n)}
+    return CoefficientTable.from_numerators(n, "ctype", chi, 1, f"character[{format_parts(lam)}]")
 
 
 def trivial_character(n: int) -> CoefficientTable:
     """The constant class function 1."""
     values = dict.fromkeys(enumerate_partitions(n), 1)
-    return CoefficientTable(n, "ctype", values, "constant 1")
+    return CoefficientTable.from_numerators(n, "ctype", values, 1, "constant 1")
 
 
 def sign_character(n: int) -> CoefficientTable:
     """The class function (-1)^(n - number of parts of the cycle type)."""
     values = {mu: -1 if (n - len(mu)) % 2 else 1 for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, "sign")
+    return CoefficientTable.from_numerators(n, "ctype", values, 1, "sign")
+
+
+def induced_sign_character(lam) -> CoefficientTable:
+    """The sign character of the Young subgroup S_lam induced to S_n: z_rho [p_rho] e_lam at rho.
+
+    It multiplies the factors' h_k = sum over mu of k of p_mu/z_mu, with
+    p_mu p_nu = p_(mu u nu), where z_(mu u nu)/(z_mu z_nu) is an integer, and
+    signs the product by omega: e_lam = omega(h_lam).
+    """
+    lam = as_partition(lam)
+    n, counts = sum(lam), {(): 1}
+    for k in lam:
+        grown: dict = {}
+        for rho, c in counts.items():
+            for mu in enumerate_partitions(k):
+                union = sort_composition(rho + mu)
+                grown[union] = grown.get(union, 0) + c * (z_of(union) // (z_of(rho) * z_of(mu)))
+        counts = grown
+    values = {mu: (-1) ** (n - len(mu)) * counts.get(mu, 0) for mu in enumerate_partitions(n)}
+    provenance = f"induced sign[{format_parts(lam)}]"
+    return CoefficientTable.from_numerators(n, "ctype", values, 1, provenance)
 
 
 def frobenius(theta: CoefficientTable):

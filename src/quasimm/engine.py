@@ -5,17 +5,18 @@ sums, one exact sum of diagonal products per cycle composition, contracted
 with a per-class weight vector.  The whole pass runs in integers: rows are
 scaled to integers, and the contraction is one integer dot product with the
 table's numerators, so one Fraction is built per call.  The weights are a
-named CoefficientTable keyed by cycle type or by cycle composition: a
-character for the permanent, determinant and immanants, the hook rule for
-the fast hook path, and otherwise the table read from a quasisymmetric
-element.  Each is built once and kept in one bounded LRU cache, keyed by
-its builder and the order, shape or element it is built from.  class_sums
-is a subset DP in integers: Held-Karp path sums give the sum of cyclic
-products on each index set, and chaining those cycles in min-first order
-gives the class sums.  Both stages visit only the index sets reachable
-along nonzero entries, never all 2^n: a dense matrix costs about 4^n/12
-(covered set, cycle) pairs, 88 000 at n = 10 against 10! leaves, and a
-banded one far fewer.  The permutation walk it replaced is a test oracle.
+named CoefficientTable of integers keyed by cycle type or by cycle
+composition: a character for the permanent, determinant and immanants, the
+sign character induced from S_lam for the elementary immanant, the hook
+rule for the fast hook path, and otherwise the table read from a
+quasisymmetric element.  Each is built once and kept in one bounded LRU
+cache, keyed by its builder and the order, shape or element it is built
+from.  class_sums is a subset DP in integers: Held-Karp path sums give the
+sum of cyclic products on each index set, and chaining those cycles in
+min-first order gives the class sums.  Both stages visit only the index
+sets reachable along nonzero entries, never all 2^n: a dense matrix costs
+about 4^n/12 (covered set, cycle) pairs, 88 000 at n = 10 against 10!
+leaves, and a banded one far fewer.  The permutation walk it replaced is a test oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from functools import lru_cache
 from .characters import (
     CoefficientTable,
     character_class_function,
+    induced_sign_character,
     sign_character,
     trivial_character,
 )
@@ -40,9 +42,10 @@ from .combinatorics import (
     count_perms_with_ctype,
     enumerate_partitions,
     exact,
+    integer_terms,
     sort_composition,
 )
-from .qsym import QSym, elementary_sym, is_symmetric, monomial_sym, p_weights, to_coords
+from .qsym import QSym, is_symmetric, monomial_sym, p_weights, power_numerators
 
 
 class SquareMatrix:
@@ -243,8 +246,8 @@ def second_immanant(a: SquareMatrix) -> Fraction:
 
 
 def elementary_immanant(a: SquareMatrix, lam) -> Fraction:
-    """Quasi-immanant of e_lam: weight z_mu times the p_mu coefficient of e_lam."""
-    return weighted_perm_sum(a, _weights(elementary_sym, as_partition(lam)))
+    """Quasi-immanant of e_lam, weighted by the sign character of S_lam induced to S_n."""
+    return weighted_perm_sum(a, _weights(induced_sign_character, as_partition(lam)))
 
 
 def monomial_immanant(a: SquareMatrix, lam) -> Fraction:
@@ -268,23 +271,29 @@ def qimm_coefficient_table(q: QSym, variant: str = "Psi") -> CoefficientTable:
     weight n! times its coordinate in the chosen power-sum variant.  Tables
     are cached, and a symmetric q has one table under both variants.
     """
+    return _weights(_element_table, q, _checked_variant(variant))
+
+
+def _checked_variant(variant: str) -> str:
     if variant not in ("Psi", "Phi"):
         raise ValueError(f"unknown power-sum variant {variant!r}")
-    return _weights(_element_table, q, variant)
+    return variant
 
 
 def _element_table(q: QSym, variant: str) -> CoefficientTable:
     n = q.degree()
     if not is_symmetric(q):
-        factorial = math.factorial(n)
-        values = dict.fromkeys(compositions(n), 0)
-        values.update((alpha, factorial * c) for alpha, c in to_coords(q, variant).coeffs.items())
-        return CoefficientTable(n, "ccomp", values, f"qimm {variant} degree {n}")
+        sums, den = power_numerators(q, variant)
+        numerators = dict.fromkeys(compositions(n), 0)
+        numerators.update(sums)
+        provenance = f"qimm {variant} degree {n}"
+        return CoefficientTable.from_numerators(n, "ccomp", numerators, den, provenance)
     if variant != "Psi":  # the cycle-type table does not depend on the variant
         return _weights(_element_table, q, "Psi")
-    weights = p_weights(q)
-    values = {mu: weights.get(mu, 0) for mu in enumerate_partitions(n)}
-    return CoefficientTable(n, "ctype", values, f"qimm ctype degree {n}")
+    weights, den = integer_terms(p_weights(q))
+    numerators = dict.fromkeys(enumerate_partitions(n), 0)
+    numerators.update(weights)
+    return CoefficientTable.from_numerators(n, "ctype", numerators, den, f"qimm ctype degree {n}")
 
 
 qimm_coefficient_table.cache_info = _weights.cache_info
@@ -299,6 +308,7 @@ def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi") -> Fraction:
     q is symmetric, and of the variant power sum at the cycle composition
     otherwise.
     """
+    _checked_variant(variant)
     if not q.coeffs:
         return Fraction(0)
     if q.degree() != a.n:
@@ -334,7 +344,7 @@ def _hook_table(n: int) -> CoefficientTable:
     values = {
         alpha: _hook_weight(alpha, n, sizes[sort_composition(alpha)]) for alpha in compositions(n)
     }
-    return CoefficientTable(n, "ccomp", values, f"hook rule degree {n}")
+    return CoefficientTable.from_numerators(n, "ccomp", values, 1, f"hook rule degree {n}")
 
 
 def qimm_hook_fast(a: SquareMatrix) -> Fraction:

@@ -331,32 +331,47 @@ def _from_fundamentals(n, counts) -> QSym:
 def to_coords(q: QSym, target: str) -> QSym:
     """Coordinates of q in the target basis, by one pass over the descent masks per degree.
 
-    M goes to Psi or Phi by _to_power and back by _to_m; Psi and Phi go to
-    each other through M.  Coefficients stay integers over one scale, and
-    one Fraction is built per output term.
+    M goes to Psi or Phi through power_numerators and back by _to_m; Psi
+    and Phi go to each other through M.  Coefficients stay integers over
+    one scale, and one Fraction is built per output term.
     """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
     if q.basis == target:
         return q
-    if q.basis != "M":
-        phi = q.basis == "Phi"  # prod(b) over the blocks is prod(alpha): taken up front
-        terms, scale = integer_terms(
-            {a: c * z_of_composition(a) / (math.prod(a) if phi else 1) for a, c in q.coeffs.items()}
-        )
-        sums = _mask_pass(terms, _to_m, phi)
-        out = {a: Fraction(s, scale * math.factorial(sum(a))) for a, s in sums.items()}
-        q = QSym._made("M", out)
-        if target == "M":
-            return q
-    phi = target == "Phi"
-    terms, scale = integer_terms(q.coeffs)
-    sums = _mask_pass(terms, _to_power, phi)
-    out = {
-        a: Fraction(s, scale * z_of_composition(a) * (math.factorial(sum(a)) if phi else 1))
-        for a, s in sums.items()
-    }
-    return QSym._made(target, out)
+    if target != "M":
+        sums, den = power_numerators(q, target)
+        out = {a: Fraction(s, den * math.factorial(sum(a))) for a, s in sums.items()}
+        return QSym._made(target, out)
+    phi = q.basis == "Phi"  # prod(b) over the blocks is prod(alpha): taken up front
+    terms, scale = integer_terms(
+        {a: c * z_of_composition(a) / (math.prod(a) if phi else 1) for a, c in q.coeffs.items()}
+    )
+    sums = _mask_pass(terms, _to_m, phi)
+    out = {a: Fraction(s, scale * math.factorial(sum(a))) for a, s in sums.items()}
+    return QSym._made("M", out)
+
+
+def power_numerators(q: QSym, target: str) -> tuple[dict, int]:
+    """n! times the Psi or Phi coordinates of q, n the degree of each term: ({alpha: int}, den).
+
+    The integer is the mask pass's sum times n!/z_alpha, over the input's
+    scale.  Phi's pass carries n! in its sum, so there it is the sum times
+    N!/z_alpha over the scale times N!, N the top degree.  An input already
+    in target is read as n! c over its own scale.
+    """
+    if target not in ("Psi", "Phi"):
+        raise ValueError(f"unknown power-sum basis {target!r}; expected 'Psi' or 'Phi'")
+    if q.basis == target:
+        terms, den = integer_terms(q.coeffs)
+        return {a: c * math.factorial(sum(a)) for a, c in terms}, den
+    terms, scale = integer_terms(to_coords(q, "M").coeffs)
+    sums = _mask_pass(terms, _to_power, target == "Phi")
+    if target == "Psi":
+        out = {a: s * math.factorial(sum(a)) // z_of_composition(a) for a, s in sums.items()}
+        return out, scale
+    top = math.factorial(max(map(sum, sums), default=0))
+    return {a: s * top // z_of_composition(a) for a, s in sums.items()}, scale * top
 
 
 def _mask_pass(terms, run, *args) -> dict:

@@ -13,6 +13,7 @@ from quasimm.characters import (
     chi2,
     fixed_points,
     frobenius,
+    induced_sign_character,
     irreducible_character,
     sign,
     sign_character,
@@ -444,3 +445,88 @@ def test_a_table_names_a_class_of_another_degree():
     with pytest.raises(ValueError, match=re.escape("ccomp table of degree 2 has no class (1, 2)")):
         ccomp((1, 2))
     assert chi((1, 1, 1)) == 2 and ccomp((1, 1)) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_induced_sign_character_is_the_e_lambda_table(n):
+    from quasimm import engine
+
+    classes = enumerate_partitions(n)
+    for lam in classes:
+        table = induced_sign_character(lam)
+        assert (table.degree, table.key, table.den) == (n, "ctype", 1)
+        assert table.values == {mu: e_weight(lam, mu) for mu in classes}
+        element = engine._element_table(elementary_sym(lam), "Psi")
+        assert (table.numerators, table.den) == (element.numerators, element.den)
+    assert induced_sign_character((n,)).values == sign_character(n).values
+
+
+def _every_library_table(n):
+    """Every table a library builder makes at degree n, built afresh."""
+    from quasimm import engine
+    from quasimm.qsym import QSym, power_sym, quasischur, to_coords
+
+    engine.qimm_coefficient_table.cache_clear()
+    tables = [trivial_character(n), sign_character(n)]
+    tables += [character_class_function(lam) for lam in enumerate_partitions(n)]
+    tables += [induced_sign_character(lam) for lam in enumerate_partitions(n)]
+    tables += [engine._hook_table(n)] if n >= 3 else []
+    elements = [quasischur(alpha) for alpha in compositions(n)]
+    rational = QSym("M", {(1,) * n: Fraction(1, 7), (n,): Fraction(-2, 3)})
+    for basis in ("Psi", "Phi"):
+        elements.append(to_coords(rational, basis))
+        elements.append(QSym(basis, {alpha: Fraction(k + 1, 3) for k, alpha in enumerate(compositions(n))}))
+    elements.append(rational)
+    for build in (schur_sym, elementary_sym, homogeneous_sym, monomial_sym, power_sym):
+        elements += [build(lam) for lam in enumerate_partitions(n)]
+    for q in elements:
+        tables += [engine._element_table(q, variant) for variant in ("Psi", "Phi")]
+    return tables
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_library_table_is_built_from_integers(n, monkeypatch):
+    from quasimm import characters
+
+    def refuse(value, name, *args):
+        raise AssertionError(f"a library table read {name % args} through exact")
+
+    monkeypatch.setattr(characters, "exact", refuse)
+    tables = _every_library_table(n)
+    monkeypatch.undo()
+    assert {table.key for table in tables} == ({"ctype", "ccomp"} if n >= 3 else {"ctype"})
+    for table in tables:
+        assert CoefficientTable(table.degree, table.key, table.values, table.provenance) == table
+
+
+@pytest.mark.parametrize(
+    "numerators, den, message",
+    [
+        ({(2,): 1}, 1, r"no weight for the class \(1, 1\)"),
+        ({(2,): 1, (1, 1): 1, (3,): 1}, 1, r"foreign class \(3,\)"),
+        ({(2,): True, (1, 1): 1}, 1, r"numerator at the class \(2,\) is not an int: True"),
+        ({(2,): 1, (1, 1): Fraction(1)}, 1, r"numerator at the class \(1, 1\) is not an int"),
+        ({(2,): 1, (1, 1): 1.0}, 1, r"numerator at the class \(1, 1\) is not an int"),
+        ({(2,): 1, (1, 1): 1}, 0, "table den 0 is not a positive integer"),
+        ({(2,): 1, (1, 1): 1}, -2, "table den -2 is not a positive integer"),
+        ({(2,): 1, (1, 1): 1}, True, "table den True is not a positive integer"),
+        ({(2,): 1, (1, 1): 1}, Fraction(2), "table den Fraction"),
+    ],
+    ids=["missing", "foreign", "bool", "fraction", "float", "zero-den", "negative-den",
+         "bool-den", "fraction-den"],
+)
+def test_from_numerators_refuses_what_the_constructor_refuses(numerators, den, message):
+    with pytest.raises(ValueError, match=message):
+        CoefficientTable.from_numerators(2, "ccomp", numerators, den)
+
+
+def test_from_numerators_keeps_the_least_denominator():
+    table = CoefficientTable.from_numerators(2, "ccomp", {(2,): 6, (1, 1): -4}, 10, "tenths")
+    assert (dict(table.numerators), table.den) == ({(2,): 3, (1, 1): -2}, 5)
+    assert table == CoefficientTable(2, "ccomp", {(2,): Fraction(3, 5), (1, 1): Fraction(-2, 5)}, "tenths")
+    zero = CoefficientTable.from_numerators(1, "ctype", {(1,): 0}, 7)
+    assert (dict(zero.numerators), zero.den) == ({(1,): 0}, 1)
+    with pytest.raises(ValueError, match="unknown table key"):
+        CoefficientTable.from_numerators(2, "cycles", {(2,): 1, (1, 1): 1}, 1)
+    with pytest.raises(ValueError, match="table degree -1 is not a nonnegative integer"):
+        CoefficientTable.from_numerators(-1, "ctype", {}, 1)

@@ -620,7 +620,7 @@ def test_named_weights_are_built_once_per_order(name):
 
 def test_symmetric_builders_run_once_per_shape(monkeypatch):
     calls = []
-    for name in ("elementary_sym", "monomial_sym"):
+    for name in ("induced_sign_character", "monomial_sym"):
         builder = getattr(engine, name)
         monkeypatch.setattr(engine, name, lambda lam, b=builder: calls.append(b.__name__) or b(lam))
     qimm_coefficient_table.cache_clear()
@@ -630,7 +630,7 @@ def test_symmetric_builders_run_once_per_shape(monkeypatch):
         elementary_immanant(a, (2, 1, 1))
         monomial_immanant(a, [3, 1])
         monomial_immanant(a, (3, 1))
-    assert calls == ["elementary_sym", "monomial_sym"]
+    assert calls == ["induced_sign_character", "monomial_sym"]
 
 
 def test_immanant_shape_spellings_share_one_table():
@@ -656,9 +656,9 @@ def test_symmetric_element_spellings_share_one_table(monkeypatch):
     e = elementary_sym((2, 2))
     a = _random_matrix(random.Random(22), 4)
     conversions, readings = [], []
-    convert, read = engine.to_coords, engine.p_weights
+    convert, read = engine.power_numerators, engine.p_weights
     monkeypatch.setattr(
-        engine, "to_coords", lambda q, target: conversions.append(target) or convert(q, target)
+        engine, "power_numerators", lambda q, target: conversions.append(target) or convert(q, target)
     )
     monkeypatch.setattr(engine, "p_weights", lambda q: readings.append(q) or read(q))
     qimm_coefficient_table.cache_clear()
@@ -717,6 +717,30 @@ def test_qimm_argument_validation():
         qimm(PRIMES, quasischur((2, 1)), branch="ccomp")
     with pytest.raises(TypeError):
         qimm_coefficient_table(quasischur((2, 1)), branch="ccomp")
+
+
+@pytest.mark.parametrize("variant", ["bogus", "psi", None])
+def test_qimm_checks_the_variant_of_a_zero_element(variant):
+    for q in (QSym.zero("M"), QSym.zero("Psi"), quasischur((2, 1))):
+        with pytest.raises(ValueError, match="unknown power-sum variant"):
+            qimm(PRIMES, q, variant)
+    assert qimm(PRIMES, QSym.zero("Phi"), "Phi") == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_elementary_immanant_matches_the_element_route(n):
+    # The induced sign character on one side, e_lam's quasi-shuffle product
+    # read back into p on the other, on matrices with rational entries.
+    rng = random.Random(7100 + n)
+    for lam in enumerate_partitions(n):
+        for a in (_rational_matrix(rng, n), _sparse_matrix(rng, n)):
+            assert elementary_immanant(a, lam) == qimm(a, elementary_sym(lam))
+
+
+def _rational_matrix(rng, n):
+    return SquareMatrix(
+        [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+    )
 
 
 def test_hook_coefficient_values():

@@ -3,7 +3,8 @@
 A name with a leading underscore belongs to its module.  A rule another
 module needs lives under a public name in its home module (the exact-number
 rule and integer_terms live in combinatorics), so a module that imports
-`_y` from a sibling, or reads `x._y` after `from . import x`, fails this
+`_y` from a sibling, or reads `x._y` after `from . import x` or after
+`from .x import x_name` (a class member such as `QSym._made`), fails this
 test.  Dunder names such as __version__ are not private.
 """
 
@@ -25,7 +26,7 @@ def _private_reads(package_dir=PACKAGE_DIR) -> list:
     found = []
     for path in sorted(package_dir.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        aliases = {}  # local name -> sibling module, from `from . import x [as y]`
+        aliases = {}  # local name -> sibling, from `from . import x` or `from .x import y` [as z]
         for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom) or node.level != 1:
                 continue
@@ -34,6 +35,8 @@ def _private_reads(package_dir=PACKAGE_DIR) -> list:
                     aliases[alias.asname or alias.name] = alias.name
                 elif node.module is not None and _private(alias.name):
                     found.append((path.stem, node.module, alias.name))
+                elif node.module is not None:
+                    aliases[alias.asname or alias.name] = node.module
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Attribute)
@@ -50,16 +53,21 @@ def test_no_module_reads_a_sibling_private_name():
 
 
 def test_the_scan_sees_each_way_of_reading_a_private_name(tmp_path):
-    (tmp_path / "home.py").write_text("_hidden = 1\npublic = 2\n")
+    (tmp_path / "home.py").write_text("_hidden = 1\npublic = 2\nclass Kind:\n    _made = 3\n")
     (tmp_path / "reader.py").write_text(
         "from .home import _hidden, public\n"
+        "from .home import Kind as K\n"
         "from . import home\n"
         "def f(self):\n"
         "    from . import home as h\n"
         "    return home._table, h._rule, home.public, home.__name__, self._own\n"
+        "def g(kind):\n"
+        "    return K._made, K.__name__, public._size, kind._made\n"
     )
     assert _private_reads(tmp_path) == [
         ("reader", "home", "_hidden"),
+        ("reader", "home", "_made"),
         ("reader", "home", "_rule"),
+        ("reader", "home", "_size"),
         ("reader", "home", "_table"),
     ]
