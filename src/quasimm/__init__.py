@@ -1,12 +1,13 @@
 """Exact-arithmetic quasi-immanants and quasisymmetric functions.
 
 A quasi-immanant is a permutation sum over an n x n matrix whose weight
-at sigma is a coefficient read from n! times a quasisymmetric element:
-the p coefficient at the cycle type when the element is symmetric, and
-the power-sum coordinate (Psi or Phi variant) at the cycle composition
-otherwise.  This package provides the combinatorics, the basis
-machinery, the symmetric-group characters, an exact evaluation engine,
-and verification reports, all over arbitrary-precision rationals.
+at sigma is read from a quasisymmetric element q of degree n: z_mu times
+the p_mu coefficient of q, mu the cycle type of sigma, when q is symmetric
+(so h_n gives the permanent), and n! times the power-sum coordinate (Psi
+or Phi variant) of q at the cycle composition otherwise.  This package
+provides the combinatorics, the basis machinery, the symmetric-group
+characters, an exact evaluation engine, and verification reports, all
+over arbitrary-precision rationals.
 
 The public names below are resolved on first use (PEP 562), so importing
 the package, or one of its modules, loads only the modules a caller needs.
@@ -17,7 +18,7 @@ import importlib
 _EXPORTS = {
     "characters": (
         "CoefficientTable", "character_class_function", "chi2", "fixed_points", "frobenius",
-        "irreducible_character", "sign", "sign_character", "trivial_character",
+        "irreducible_character", "sign",
     ),
     "combinatorics": (
         "as_composition", "as_partition", "as_permutation", "count_perms_with_ctype",

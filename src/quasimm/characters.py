@@ -176,18 +176,6 @@ def character_class_function(lam) -> CoefficientTable:
     return CoefficientTable.from_numerators(n, "ctype", chi, 1, f"character[{format_parts(lam)}]")
 
 
-def trivial_character(n: int) -> CoefficientTable:
-    """The constant class function 1."""
-    values = dict.fromkeys(enumerate_partitions(n), 1)
-    return CoefficientTable.from_numerators(n, "ctype", values, 1, "constant 1")
-
-
-def sign_character(n: int) -> CoefficientTable:
-    """The class function (-1)^(n - number of parts of the cycle type)."""
-    values = {mu: -1 if (n - len(mu)) % 2 else 1 for mu in enumerate_partitions(n)}
-    return CoefficientTable.from_numerators(n, "ctype", values, 1, "sign")
-
-
 def induced_sign_character(lam) -> CoefficientTable:
     """The sign character of the Young subgroup S_lam induced to S_n: z_rho [p_rho] e_lam at rho.
 

@@ -51,7 +51,7 @@ def _load_matrix(path: str):
         return engine.load_matrix(path)
     except OSError as exc:
         raise InputError(f"cannot read matrix file {path}: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise InputError(f"malformed matrix in {path}: {exc}") from None
 
 

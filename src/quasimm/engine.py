@@ -6,7 +6,8 @@ with a per-class weight vector.  The whole pass runs in integers: rows are
 scaled to integers, and the contraction is one integer dot product with the
 table's numerators, so one Fraction is built per call.  The weights are a
 named CoefficientTable of integers keyed by cycle type or by cycle
-composition: a character for the permanent, determinant and immanants, the
+composition: the character of lam for the immanant of lam (the permanent
+and determinant are those of (n) and (1,...,1), and share their tables), the
 sign character induced from S_lam for the elementary immanant, the hook
 rule for the fast hook path, and otherwise the table read from a
 quasisymmetric element.  Each is built once and kept in one bounded LRU
@@ -28,13 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import (
-    CoefficientTable,
-    character_class_function,
-    induced_sign_character,
-    sign_character,
-    trivial_character,
-)
+from .characters import CoefficientTable, character_class_function, induced_sign_character
 from .combinatorics import (
     as_composition,
     as_partition,
@@ -101,16 +96,25 @@ def matrix_from_json_dict(obj) -> SquareMatrix:
 
 
 def load_matrix(path) -> SquareMatrix:
-    """Read a matrix from a JSON or CSV file, deciding by the leading character."""
+    """Read a matrix from a JSON or CSV file, deciding by the leading character.
+
+    A file that cannot be read raises OSError; any malformed content raises ValueError.
+    """
     with open(path, encoding="utf-8-sig") as source:  # a leading byte-order mark is dropped
         text = source.read()
     if text.lstrip()[:1] in ("{", "["):
-        return matrix_from_json_dict(json.loads(text))
+        try:
+            return matrix_from_json_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError("matrix JSON is nested too deeply to read") from None
     rows = []
-    for row in csv.reader(io.StringIO(text)):
-        cells = [tok.strip() for tok in row]
-        if any(cells):
-            rows.append(cells)
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            cells = [tok.strip() for tok in row]
+            if any(cells):
+                rows.append(cells)
+    except csv.Error as exc:
+        raise ValueError(f"unreadable CSV: {exc}") from None
     return SquareMatrix(rows)
 
 
@@ -197,13 +201,13 @@ def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
 
 
 def permanent(a: SquareMatrix) -> Fraction:
-    """Permutation sum weighted by the trivial character."""
-    return weighted_perm_sum(a, _weights(trivial_character, a.n))
+    """Immanant of the one-row shape (n), whose character is the trivial one."""
+    return immanant(a, (a.n,))
 
 
 def determinant(a: SquareMatrix) -> Fraction:
-    """Permutation sum weighted by the sign character."""
-    return weighted_perm_sum(a, _weights(sign_character, a.n))
+    """Immanant of the one-column shape (1,...,1), whose character is the sign."""
+    return immanant(a, (1,) * a.n)
 
 
 def determinant_elimination(a: SquareMatrix) -> Fraction:
@@ -303,10 +307,11 @@ qimm_coefficient_table.cache_clear = _weights.cache_clear
 def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi") -> Fraction:
     """Quasi-immanant: permutation sum with weights read from n! times q.
 
-    q must be homogeneous of degree equal to the matrix dimension.  The
-    weight of sigma is the coefficient in n!q of p at the cycle type when
-    q is symmetric, and of the variant power sum at the cycle composition
-    otherwise.
+    q must be homogeneous of degree equal to the matrix dimension.  When q
+    is symmetric, the weight of sigma is z_mu times the p_mu coefficient of
+    q, mu the cycle type (1 at every class for h_n, so h_n gives the
+    permanent); otherwise it is n! times the coordinate of q in the variant
+    power sum at the cycle composition.
     """
     _checked_variant(variant)
     if not q.coeffs:
@@ -320,30 +325,23 @@ def hook_qimm_coefficient(alpha) -> int:
     """Per-class weight of the hook quasi-Schur element, from the cycle composition.
 
     The element is the two-term sum M at (2,1,...,1) plus M at (1,...,1)
-    of degree n; the weight depends only on the first part of the cycle
-    composition: first part 1 gives (-1)^(n-len) times the class size,
+    of degree n >= 3; the weight depends only on the first part of the cycle
+    composition: first part 1 gives (-1)^(n-len) times the class size n!/z,
     first part 2 flips that sign, anything larger vanishes.
     """
     alpha = as_composition(alpha)
-    return _hook_weight(alpha, sum(alpha), count_perms_with_ctype(sort_composition(alpha)))
-
-
-def _hook_weight(alpha: tuple, n: int, size: int) -> int:
-    """The hook rule at a composition alpha of n whose cycle type has size members."""
+    n = sum(alpha)
     if n < 3:
         raise ValueError("hook weight needs degree at least 3")
     if alpha[0] > 2:
         return 0
-    flips = n - len(alpha) + (alpha[0] == 2)
-    return -size if flips % 2 else size
+    size = count_perms_with_ctype(sort_composition(alpha))
+    return -size if (n - len(alpha) + (alpha[0] == 2)) % 2 else size
 
 
 def _hook_table(n: int) -> CoefficientTable:
-    """The hook rule at every composition of n, with one class size n!/z per cycle type."""
-    sizes = {mu: count_perms_with_ctype(mu) for mu in enumerate_partitions(n)}
-    values = {
-        alpha: _hook_weight(alpha, n, sizes[sort_composition(alpha)]) for alpha in compositions(n)
-    }
+    """The hook rule at every composition of n."""
+    values = {alpha: hook_qimm_coefficient(alpha) for alpha in compositions(n)}
     return CoefficientTable.from_numerators(n, "ccomp", values, 1, f"hook rule degree {n}")
 
 

@@ -16,8 +16,6 @@ from quasimm.characters import (
     induced_sign_character,
     irreducible_character,
     sign,
-    sign_character,
-    trivial_character,
 )
 from quasimm.combinatorics import (
     compositions,
@@ -88,6 +86,14 @@ def test_trivial_and_sign_characters():
             assert irreducible_character((1,) * n, mu) == (-1) ** (n - len(mu))
 
 
+def _trivial(n):
+    return {mu: 1 for mu in enumerate_partitions(n)}
+
+
+def _sign(n):
+    return {mu: (-1) ** (n - len(mu)) for mu in enumerate_partitions(n)}
+
+
 def test_character_argument_validation():
     with pytest.raises(ValueError):
         irreducible_character((2, 1), (2, 2))
@@ -135,17 +141,22 @@ def test_class_function_call():
     assert theta((1, 1, 1)) == 2
 
 
-def test_named_weight_vectors():
-    n = 4
-    assert trivial_character(n).provenance == "constant 1"
-    assert sign_character(n).provenance == "sign"
+def test_named_weight_vectors(monkeypatch):
+    from quasimm import engine
+
+    n, read = 4, []
+    contract = engine.weighted_perm_sum
+    monkeypatch.setattr(engine, "weighted_perm_sum", lambda a, t: read.append(t) or contract(a, t))
+    engine.permanent(engine.SquareMatrix.identity(n))
+    engine.determinant(engine.SquareMatrix.identity(n))
+    assert [table.provenance for table in read] == ["character[4]", "character[1,1,1,1]"]
     assert character_class_function((3, 1)).provenance == "character[3,1]"
-    for table in (trivial_character(n), sign_character(n), character_class_function((3, 1))):
+    for table in read + [character_class_function((3, 1))]:
         assert table.degree == n and table.key == "ctype"
         assert set(table.values) == set(enumerate_partitions(n))
-    assert sign_character(n)((2, 1, 1)) == -1
+    assert read[1]((2, 1, 1)) == -1
     with pytest.raises(ValueError):
-        sign_character(n)((1, 2, 1))
+        read[1]((1, 2, 1))
 
 
 def test_composition_keyed_tables():
@@ -178,24 +189,25 @@ def test_table_rejects_an_unknown_key():
             CoefficientTable(2, key, {(2,): 1, (1, 1): 1})
 
 def test_table_equality_is_by_fields():
-    table = CoefficientTable(2, "ctype", {(2,): Fraction(-1), (1, 1): Fraction(1)}, "sign")
-    assert table == CoefficientTable(2, "ctype", {(1, 1): 1, (2,): -1}, "sign")
-    assert table == sign_character(2)
+    sign2 = "character[1,1]"
+    table = CoefficientTable(2, "ctype", {(2,): Fraction(-1), (1, 1): Fraction(1)}, sign2)
+    assert table == CoefficientTable(2, "ctype", {(1, 1): 1, (2,): -1}, sign2)
+    assert table == character_class_function((1, 1))
     assert table != CoefficientTable(2, "ctype", {(2,): Fraction(-1), (1, 1): Fraction(1)})
-    assert table != CoefficientTable(2, "ccomp", table.values, "sign")
-    assert table != CoefficientTable(3, "ctype", sign_character(3).values, "sign")
-    assert table != CoefficientTable(2, "ctype", {(2,): 1, (1, 1): 1}, "sign")
-    assert table != (2, "ctype", table.values, "sign")
+    assert table != CoefficientTable(2, "ccomp", table.values, sign2)
+    assert table != CoefficientTable(3, "ctype", character_class_function((1, 1, 1)).values, sign2)
+    assert table != CoefficientTable(2, "ctype", {(2,): 1, (1, 1): 1}, sign2)
+    assert table != (2, "ctype", table.values, sign2)
 
 
 def test_table_attributes_are_read_only():
-    table = trivial_character(3)
+    table = character_class_function((3,))
     for name in ("degree", "key", "values", "provenance", "extra"):
         with pytest.raises(AttributeError):
             setattr(table, name, None)
     with pytest.raises(AttributeError):
         del table.values
-    assert table == trivial_character(3)
+    assert table == character_class_function((3,))
 
 
 def test_table_repr_names_every_field():
@@ -285,8 +297,7 @@ def test_every_builder_keeps_integers_over_one_least_denominator(n):
     from quasimm import engine
     from quasimm.qsym import QSym, is_symmetric, power_sym, quasischur
 
-    tables = [trivial_character(n), sign_character(n)]
-    tables += [character_class_function(lam) for lam in enumerate_partitions(n)]
+    tables = [character_class_function(lam) for lam in enumerate_partitions(n)]
     tables += [engine._hook_table(n)] if n >= 3 else []
     elements = [quasischur(alpha) for alpha in compositions(n)]
     elements.append(QSym("M", {(1,) * n: Fraction(1, 7), (n,): Fraction(-2, 3)}))
@@ -311,9 +322,10 @@ def test_mixed_weights_share_one_least_denominator():
         assert type(table(index)) is Fraction
     _assert_integers_over_least_denominator(table)
     # Equal weights written over other denominators give the library's own table.
-    spelled = CoefficientTable(2, "ctype", {(2,): Fraction(-4, 4), (1, 1): Decimal("1.0")}, "sign")
+    weights = {(2,): Fraction(-4, 4), (1, 1): Decimal("1.0")}
+    spelled = CoefficientTable(2, "ctype", weights, "character[1,1]")
     assert (spelled.numerators, spelled.den) == ({(2,): -1, (1, 1): 1}, 1)
-    assert spelled == sign_character(2)
+    assert spelled == character_class_function((1, 1))
 
 
 def test_incomplete_table_fails_whatever_the_matrix():
@@ -340,8 +352,8 @@ def test_table_keeps_its_own_copy_of_the_weights():
 def test_frobenius_of_characters(n):
     for lam in enumerate_partitions(n):
         assert frobenius(character_class_function(lam)) == schur_sym(lam)
-    assert frobenius(trivial_character(n)) == homogeneous_sym((n,))
-    assert frobenius(sign_character(n)) == elementary_sym((n,))
+    assert frobenius(CoefficientTable(n, "ctype", _trivial(n))) == homogeneous_sym((n,))
+    assert frobenius(CoefficientTable(n, "ctype", _sign(n))) == elementary_sym((n,))
 
 
 def _rational_table(rng, n):
@@ -408,7 +420,7 @@ def test_epsilon_coeff_values():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_epsilon_of_single_row_is_sign(n):
     # e_n equals the antisymmetric Schur element, so its weight family is the sign
-    expected = sign_character(n).values
+    expected = _sign(n)
     got = {mu: e_weight((n,), mu) for mu in enumerate_partitions(n)}
     assert got == expected
 
@@ -458,7 +470,7 @@ def test_induced_sign_character_is_the_e_lambda_table(n):
         assert table.values == {mu: e_weight(lam, mu) for mu in classes}
         element = engine._element_table(elementary_sym(lam), "Psi")
         assert (table.numerators, table.den) == (element.numerators, element.den)
-    assert induced_sign_character((n,)).values == sign_character(n).values
+    assert induced_sign_character((n,)).values == _sign(n)
 
 
 def _every_library_table(n):
@@ -467,8 +479,7 @@ def _every_library_table(n):
     from quasimm.qsym import QSym, power_sym, quasischur, to_coords
 
     engine.qimm_coefficient_table.cache_clear()
-    tables = [trivial_character(n), sign_character(n)]
-    tables += [character_class_function(lam) for lam in enumerate_partitions(n)]
+    tables = [character_class_function(lam) for lam in enumerate_partitions(n)]
     tables += [induced_sign_character(lam) for lam in enumerate_partitions(n)]
     tables += [engine._hook_table(n)] if n >= 3 else []
     elements = [quasischur(alpha) for alpha in compositions(n)]

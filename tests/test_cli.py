@@ -330,6 +330,8 @@ _ERROR_MATRICES = {
     "text-rows.json": '{"n": 2, "entries": ["12", "34"]}',
     "dict-entries.json": '{"entries": {"ab": 1}}',
     "null-entries.json": '{"entries": null}',
+    "wide-cell.csv": "1" * 131_073 + ",1\n1,1\n",
+    "deep.json": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -359,6 +361,12 @@ _ERROR_MATRICES = {
                      "matrix must be a list of rows, each a list of entries", id="dict-entries"),
         pytest.param(("qimm", "{dir}/null-entries.json", "qs", "2"), 1,
                      "matrix must be a list of rows, each a list of entries", id="null-entries"),
+        pytest.param(("det", "{dir}/wide-cell.csv"), 1,
+                     "malformed matrix in {dir}/wide-cell.csv: unreadable CSV: field larger than",
+                     id="csv-cell-over-field-limit"),
+        pytest.param(("det", "{dir}/deep.json"), 1,
+                     "malformed matrix in {dir}/deep.json: matrix JSON is nested too deeply",
+                     id="json-nested-too-deeply"),
         pytest.param(("verify", "all", "--max-n", "17"), 2,
                      "the Toeplitz sweep stops at order 16, so 17 is too large", id="verify-past-limit"),
     ],
@@ -368,8 +376,8 @@ def test_error_paths_report_one_line(tmp_path, args, code, message):
         (tmp_path / name).write_text(text)
     result = run_cli(*(arg.format(dir=tmp_path) for arg in args))
     assert result.returncode == code
-    assert result.stderr.startswith("error: ")
-    assert message in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message.format(dir=tmp_path) in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 

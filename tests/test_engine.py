@@ -133,6 +133,22 @@ def test_load_matrix_json_and_csv(tmp_path):
         load_matrix(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1" * 131_073 + ",1\n1,1\n", r"unreadable CSV: field larger than field limit \(131072\)"),
+        ("[" * 100_000 + "]" * 100_000, "matrix JSON is nested too deeply to read"),
+        ('{"entries": [[' + "[" * 100_000 + "]" * 100_000 + "]]}", "nested too deeply"),
+    ],
+    ids=["csv-cell-over-field-limit", "json-array", "json-entry"],
+)
+def test_files_the_parsers_refuse_raise_value_error(tmp_path, text, message):
+    path = tmp_path / "matrix.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_matrix(path)
+
+
 def test_load_matrix_drops_a_byte_order_mark(tmp_path):
     # Spreadsheet exports often start UTF-8 text with a byte-order mark.
     expected = SquareMatrix([[1, Fraction(1, 2)], [-3, 4]])
@@ -481,10 +497,36 @@ def test_elimination_pivot_handling():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_immanant_extremes(n):
     rng = random.Random(31 + n)
+    ones = CoefficientTable(n, "ctype", {mu: 1 for mu in enumerate_partitions(n)})
     for _ in range(3):
         a = _random_matrix(rng, n)
-        assert immanant(a, (1,) * n) == determinant(a)
-        assert immanant(a, (n,)) == permanent(a)
+        assert immanant(a, (1,) * n) == determinant(a) == determinant_elimination(a)
+        assert immanant(a, (n,)) == permanent(a) == _unpruned_sum(a, ones)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permanent_and_determinant_read_the_trivial_and_sign_characters(n, monkeypatch):
+    read = []
+    contract = engine.weighted_perm_sum
+    monkeypatch.setattr(engine, "weighted_perm_sum", lambda a, t: read.append(t) or contract(a, t))
+    permanent(SquareMatrix.identity(n))
+    determinant(SquareMatrix.identity(n))
+    classes = enumerate_partitions(n)
+    trivial, sign = {mu: 1 for mu in classes}, {mu: (-1) ** (n - len(mu)) for mu in classes}
+    assert [(t.degree, t.key, dict(t.numerators), t.den) for t in read] == [
+        (n, "ctype", trivial, 1),
+        (n, "ctype", sign, 1),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permanent_and_determinant_share_the_immanant_tables(n):
+    a = _random_matrix(random.Random(40 + n), n)
+    for fn, shape in ((permanent, (n,)), (determinant, (1,) * n)):
+        qimm_coefficient_table.cache_clear()
+        assert fn(a) == immanant(a, shape)
+        info = qimm_coefficient_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_immanant_shape_validation():
@@ -823,7 +865,8 @@ def test_cached_tables_and_elements_are_read_only():
     a = SquareMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     perm, q = permanent(a), quasischur((2, 1))
     value = qimm(a, q)
-    table = engine._weights(engine.trivial_character, 3)
+    table = engine._weights(engine.character_class_function, (3,))
+    ones = CoefficientTable(3, "ctype", {(3,): 1, (2, 1): 1, (1, 1, 1): 1})
     with pytest.raises(TypeError):
         table.numerators[(3,)] = 100
     with pytest.raises(TypeError):
@@ -831,6 +874,6 @@ def test_cached_tables_and_elements_are_read_only():
     with pytest.raises(TypeError):
         q.coeffs[(3,)] = 7
     assert table.numerators[(3,)] == 1 and q == quasischur((2, 1)) == QSym("M", q.coeffs)
-    assert permanent(a) == perm == _unpruned_sum(a, engine.trivial_character(3))
+    assert permanent(a) == perm == _unpruned_sum(a, ones)
     fresh = engine._element_table(quasischur((2, 1)), "Psi")  # built outside the cache
     assert qimm(a, q) == value == _unpruned_sum(a, fresh)
