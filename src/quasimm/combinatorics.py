@@ -32,8 +32,10 @@ def exact(value, name: str, *args) -> Fraction:
 
     Anything else, floats and booleans included, is refused with a ValueError
     naming the value by name % args, formatted only then; so is text past the
-    interpreter's int-to-text digit limit, cut to its first characters.
+    interpreter's int-to-text digit limit.  A value whose repr passes 80
+    characters is named by its first 12 (of the text, or else of the repr).
     """
+    reason = "is not an integer or a/b"
     if isinstance(value, (bool, float)):
         name = ("boolean " if isinstance(value, bool) else "floating-point ") + name
     elif isinstance(value, str):
@@ -41,15 +43,23 @@ def exact(value, name: str, *args) -> Fraction:
             try:
                 return Fraction(value)
             except ValueError:  # past the int-to-text digit limit
-                args = tuple(value[:12] + "..." if arg is value else arg for arg in args)
-                limit = sys.get_int_max_str_digits()
-                raise ValueError(f"{name % args} has more than {limit} digits") from None
+                reason = f"has more than {sys.get_int_max_str_digits()} digits"
     else:
         try:
             return Fraction(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValueError(f"{name % args} is not an integer or a/b")
+    shown = repr(value)
+    if len(shown) > 80:
+        cut = value[:12] + "..." if isinstance(value, str) else _Shown(shown[:12] + "...")
+        args = tuple(cut if arg is value else arg for arg in args)
+    raise ValueError(f"{name % args} {reason}")
+
+
+class _Shown(str):
+    """Text that %r shows as it stands: the cut repr of a refused value."""
+
+    __repr__ = str.__str__
 
 
 def integer_terms(coeffs: dict):

@@ -104,7 +104,7 @@ def load_matrix(path) -> SquareMatrix:
         text = source.read()
     if text.lstrip()[:1] in ("{", "["):
         try:
-            return matrix_from_json_dict(json.loads(text))
+            return matrix_from_json_dict(json.loads(text, parse_int=_json_int))
         except RecursionError:
             raise ValueError("matrix JSON is nested too deeply to read") from None
     rows = []
@@ -116,6 +116,14 @@ def load_matrix(path) -> SquareMatrix:
     except csv.Error as exc:
         raise ValueError(f"unreadable CSV: {exc}") from None
     return SquareMatrix(rows)
+
+
+def _json_int(digits: str):
+    """A JSON integer, left as text past the int-to-text digit limit so that exact names it."""
+    try:
+        return int(digits)
+    except ValueError:
+        return digits
 
 
 def _integer_rows(a: SquareMatrix) -> tuple[list, int]:

@@ -323,17 +323,19 @@ def _from_fundamentals(n, counts) -> QSym:
 # from M signed by (-1)^(len(alpha)-len(beta)): M to Psi takes the last part
 # of b, M to Phi sum(b)/len(b), both over z_beta; Psi to M takes 1/pi(b), pi
 # being the product of the partial sums, and Phi to M 1/(len(b)! prod(b)),
-# both times z_alpha.  A block's factor builds up cut by cut, so one pass over
-# the descent masks of each degree sums the rows of all terms at once.  Only
-# submasks of the input's masks are reached: never 2^(n-1) for a sparse input.
+# both times z_alpha.  One loop, _coarsen, builds each block's factor cut by
+# cut from right to left, and each row is a rule of it.  Psi and Phi reach M
+# on the reversed compositions: there a part's partial sum in its block is
+# its distance to the block's end, which the loop knows.  Only submasks of
+# the input's masks are reached: never 2^(n-1) for a sparse input.
 
 
 def to_coords(q: QSym, target: str) -> QSym:
     """Coordinates of q in the target basis, by one pass over the descent masks per degree.
 
-    M goes to Psi or Phi through power_numerators and back by _to_m; Psi
-    and Phi go to each other through M.  Coefficients stay integers over
-    one scale, and one Fraction is built per output term.
+    M goes to Psi or Phi through power_numerators, Psi and Phi to M on the
+    reversed compositions, and to each other through M.  Coefficients stay
+    integers over one scale, and one Fraction is built per output term.
     """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
@@ -344,11 +346,10 @@ def to_coords(q: QSym, target: str) -> QSym:
         out = {a: Fraction(s, den * math.factorial(sum(a))) for a, s in sums.items()}
         return QSym._made(target, out)
     phi = q.basis == "Phi"  # prod(b) over the blocks is prod(alpha): taken up front
-    terms, scale = integer_terms(
-        {a: c * z_of_composition(a) / (math.prod(a) if phi else 1) for a, c in q.coeffs.items()}
-    )
-    sums = _mask_pass(terms, _to_m, phi)
-    out = {a: Fraction(s, scale * math.factorial(sum(a))) for a, s in sums.items()}
+    rows = {a[::-1]: c * z_of_composition(a) for a, c in q.coeffs.items()}
+    terms, scale = integer_terms({a: c / math.prod(a) for a, c in rows.items()} if phi else rows)
+    sums = _mask_pass(terms, _part_places if phi else _partial_sums, carry=True)
+    out = {a[::-1]: Fraction(s, scale * math.factorial(sum(a))) for a, s in sums.items()}
     return QSym._made("M", out)
 
 
@@ -366,7 +367,7 @@ def power_numerators(q: QSym, target: str) -> tuple[dict, int]:
         terms, den = integer_terms(q.coeffs)
         return {a: c * math.factorial(sum(a)) for a, c in terms}, den
     terms, scale = integer_terms(to_coords(q, "M").coeffs)
-    sums = _mask_pass(terms, _to_power, target == "Phi")
+    sums = _mask_pass(terms, _block_means if target == "Phi" else _last_part, carry=target == "Phi")
     if target == "Psi":
         out = {a: s * math.factorial(sum(a)) // z_of_composition(a) for a, s in sums.items()}
         return out, scale
@@ -374,8 +375,11 @@ def power_numerators(q: QSym, target: str) -> tuple[dict, int]:
     return {a: s * top // z_of_composition(a) for a, s in sums.items()}, scale * top
 
 
-def _mask_pass(terms, run, *args) -> dict:
-    """{composition: integer} of run(n, {mask: c}, *args) per degree n of the terms (alpha, c)."""
+def _mask_pass(terms, rule, carry: bool = False, partitions: bool = False) -> dict:
+    """{composition: integer} of _coarsen per degree n of the terms (alpha, c).
+
+    carry takes each c times n!, so that a rule that divides divides exactly.
+    """
     degrees: defaultdict = defaultdict(dict)
     for alpha, c in terms:
         mask = total = 0
@@ -383,90 +387,69 @@ def _mask_pass(terms, run, *args) -> dict:
             total += part
             mask |= 1 << (total - 1)
         n = sum(alpha)
-        degrees[n][mask] = c
+        degrees[n][mask] = c * math.factorial(n) if carry else c
     return {
         mask_composition(n, mask): s
         for n, values in degrees.items()
-        for mask, s in run(n, values, *args).items()
+        for mask, s in _coarsen(n, values, rule, partitions).items()
         if s
     }
 
 
-def _to_power(n, values: dict, phi: bool, partitions: bool = False) -> dict:
-    """The M-to-Psi (or Phi) rows of degree n summed over values: mask -> integer, over z.
+def _coarsen(n, values: dict, rule, partitions: bool = False) -> dict:
+    """The rows of one rule summed over the values of degree n: mask -> integer.
 
-    The cuts go from n-1 down to 1, then cut 0 closes the first block.  A
-    mask holds a value per number k of input parts met in its open block:
-    slot k-1 for Phi; for Psi, slot 0 for k = 1 and slot 1 for more.  At an
-    input cut i, d below the end of the open block, keeping the cut closes
-    the block with its factor (Psi's last part d if k = 1, else taken
-    already; Phi's d/k); dropping it moves the values, sign flipped, to the
-    mask without it, one part further (Psi's times d if k = 1).  With
+    The cuts go from n-1 down to 0, where the first block closes.  A mask
+    holds values by the input parts met in its open block, slot 0 for one.
+    At an input cut i, d below the end of that block, rule(held, d, into)
+    adds what dropping the cut moves to into, the list of the mask without
+    it, and returns the value that keeping it closes the block with.  With
     partitions set, a block closes only if it is no smaller than the closed
     block on its right and no larger than the i cells on its left.
     """
-    scale = math.factorial(n) if phi else 1  # Phi's divisors k on one path divide n!
-    states = {mask: [v * scale, 0] for mask, v in values.items()}
+    states = {mask: [v, 0] for mask, v in values.items()}
     for i in range(n - 1, -1, -1):
         bit = (1 << i) >> 1
         for mask in [mask for mask in states if mask & bit] if i else list(states):
-            held = states[mask]
             above = mask >> i
             d = (above & -above).bit_length() if above else n - i
-            if phi:
-                kept = sum(v // k for k, v in enumerate(held, 1) if v) * d
-            else:
-                kept = held[0] * d + held[1]
-            drop = mask ^ bit
-            if i:
-                into = states.get(drop) or states.setdefault(drop, [0, 0])
-                if phi:
-                    into.extend([0] * (len(held) + 1 - len(into)))
-                    for k, v in enumerate(held, 1):
-                        into[k] -= v
-                else:
-                    into[1] -= kept
+            into = states.setdefault(mask ^ bit, [0, 0]) if i else [0, 0]  # cut 0 is kept
+            states[mask] = [rule(states[mask], d, into), 0]
             if partitions:
                 rest = above >> d  # the cuts right of the block
                 last = (rest & -rest).bit_length() if rest else (n - i - d if above else 0)
                 if d < last or d > i > 0:
                     del states[mask]
-                    continue
-            states[mask] = [kept, 0]
     return {mask: held[0] for mask, held in states.items()}
 
 
-def _to_m(n, values: dict, phi: bool) -> dict:
-    """The Psi-to-M (or Phi-to-M) rows of degree n summed over values: mask -> integer.
+def _last_part(held, d, into) -> int:
+    """M to Psi: the block's last part, signed: d in slot 0 (one part), taken already in slot 1."""
+    into[1] -= (kept := held[0] * d + held[1])
+    return kept
 
-    values are coefficients times z_alpha (for Phi over prod(alpha)).  The
-    cuts go from 1 up to n-1, then cut n closes the last block.  An input
-    cut i, d above the start of its block, ends a part of it, kept or
-    dropped: Psi divides by d, the block's partial sum there; Phi divides
-    by k, the part's place in the block (slot k-1 of the mask's values), so
-    that a block of l parts divides by l!.  A dropped cut moves the values
-    to the mask without it, Phi's one part further.
-    """
-    scale = math.factorial(n)  # the divisors on one term's path divide n!: each division is exact
-    states = {mask: [v * scale] for mask, v in values.items()}
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        for mask in [mask for mask in states if mask & bit] if i < n else list(states):
-            held = states[mask]
-            if phi:
-                parts = [v // k for k, v in enumerate(held, 1)]
-            else:
-                parts = [held[0] // (i - (mask & (bit - 1)).bit_length())]
-            if i < n:
-                into = states.get(mask ^ bit) or states.setdefault(mask ^ bit, [0])
-                if phi:
-                    into.extend([0] * (len(parts) + 1 - len(into)))
-                    for k, v in enumerate(parts, 1):
-                        into[k] += v
-                else:
-                    into[0] += parts[0]
-            states[mask] = [sum(parts)]
-    return {mask: held[0] for mask, held in states.items()}
+
+def _block_means(held, d, into) -> int:
+    """M to Phi: the block's sum d over its count of parts, signed."""
+    into.extend([0] * (len(held) + 1 - len(into)))
+    for k, v in enumerate(held, 1):
+        into[k] -= v
+    return sum(v // k for k, v in enumerate(held, 1) if v) * d
+
+
+def _partial_sums(held, d, into) -> int:
+    """Psi to M, reversed: each part over its partial sum in its block, which is d."""
+    into[0] += (kept := held[0] // d)
+    return kept
+
+
+def _part_places(held, d, into) -> int:
+    """Phi to M: the k-th part of a block over k; slot k-1 holds k parts over k! already."""
+    into.extend([0] * (len(held) + 1 - len(into)))
+    for k, v in enumerate(held, 1):
+        if v:
+            into[k] += v // (k + 1)
+    return sum(held)
 
 
 def _rearrangement_count(lam) -> int:
@@ -498,16 +481,16 @@ def p_weights(q: QSym) -> dict:
 
     The p_mu coefficient of a symmetric element is its Psi coordinate at mu,
     and its Phi coordinate there too.  A Psi or Phi element is read as it
-    stands.  From M, the M-to-Psi mask pass runs without the final 1/z_mu
-    and drops every mask whose closed blocks cannot end as a partition, so
-    its cost follows the reachable prefixes of partitions (for e_30, 54 563
-    mask visits for its 5604 partitions), not the 2^(n-1) masks of each
-    term.  Symmetry is not checked here.
+    stands.  From M, the mask pass runs the M-to-Psi rule without the final
+    1/z_mu and drops every mask whose closed blocks cannot end as a
+    partition, so its cost follows the reachable prefixes of partitions
+    (for e_30, 54 563 mask visits for its 5604 partitions), not the 2^(n-1)
+    masks of each term.  Symmetry is not checked here.
     """
     if q.basis != "M":
         return {mu: z_of(mu) * c for mu, c in q.coeffs.items() if sort_composition(mu) == mu}
     terms, scale = integer_terms(q.coeffs)
-    sums = _mask_pass(terms, _to_power, False, True)
+    sums = _mask_pass(terms, _last_part, partitions=True)
     return {mu: Fraction(s, scale) for mu, s in sums.items()}
 
 

@@ -332,6 +332,8 @@ _ERROR_MATRICES = {
     "null-entries.json": '{"entries": null}',
     "wide-cell.csv": "1" * 131_073 + ",1\n1,1\n",
     "deep.json": "[" * 100_000 + "]" * 100_000,
+    "huge-number.json": '{"entries": [[' + "1" * 5000 + ", 1], [1, 1]]}",
+    "long-entry.json": json.dumps({"entries": [[list(range(100_000)), 1], [1, 1]]}),
 }
 
 
@@ -367,6 +369,14 @@ _ERROR_MATRICES = {
         pytest.param(("det", "{dir}/deep.json"), 1,
                      "malformed matrix in {dir}/deep.json: matrix JSON is nested too deeply",
                      id="json-nested-too-deeply"),
+        pytest.param(("det", "{dir}/huge-number.json"), 1,
+                     "malformed matrix in {dir}/huge-number.json: "
+                     "matrix entry '111111111111...' has more than",
+                     id="json-number-over-digit-limit"),
+        pytest.param(("det", "{dir}/long-entry.json"), 1,
+                     "malformed matrix in {dir}/long-entry.json: "
+                     "matrix entry [0, 1, 2, 3,... is not an integer",
+                     id="long-list-entry"),
         pytest.param(("verify", "all", "--max-n", "17"), 2,
                      "the Toeplitz sweep stops at order 16, so 17 is too large", id="verify-past-limit"),
     ],

@@ -321,6 +321,28 @@ def test_every_door_reads_a_number_by_one_rule(value, expected):
         assert message.startswith(expected) and repr(value) in message, door
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (list(range(100_000)), "[0, 1, 2, 3,..."),
+        ([[0] * 100_000], "[[0, 0, 0, 0..."),
+        ("x" * 100_000, "'xxxxxxxxxxxx...'"),
+        ("x" * 79, "'xxxxxxxxxxxx...'"),
+        ("x" * 78, repr("x" * 78)),
+        ([1] * 26, repr([1] * 26)),
+    ],
+    ids=["long-list", "nested-list", "long-text", "repr-81", "repr-80", "list-repr-78"],
+)
+def test_every_door_names_a_long_refused_value_by_its_first_characters(value, shown):
+    """A value whose repr passes 80 characters is named by its first 12; a shorter one whole."""
+    for door, read in _DOORS.items():
+        with pytest.raises(ValueError, match="is not an integer or a/b") as refused:
+            read(value)
+        message = str(refused.value)
+        assert message.startswith(door.split()[0]) and shown in message, door
+        assert len(message) < 200, door
+
+
 @pytest.mark.parametrize("text", ["1" * 5000, "-" + "7" * 5000, "3/" + "2" * 5000])
 def test_every_door_names_text_past_the_digit_limit(text):
     """Text past the interpreter's int-to-text limit is refused by position, not echoed in full."""

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -9,13 +10,16 @@ from fractions import Fraction
 import pytest
 
 from quasimm import engine
-from quasimm.characters import character_class_function
+from quasimm.characters import character_class_function, irreducible_character
 from quasimm.combinatorics import (
     cycle_composition,
     cycle_type,
     enumerate_compositions,
     enumerate_partitions,
     enumerate_permutations,
+    sort_composition,
+    z_of,
+    z_of_composition,
 )
 from quasimm.engine import (
     CoefficientTable,
@@ -147,6 +151,26 @@ def test_files_the_parsers_refuse_raise_value_error(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("digits", ["1" * 5000, "-" + "7" * 5000], ids=["positive", "negative"])
+def test_an_integer_past_the_digit_limit_is_named_in_every_spelling(tmp_path, digits):
+    # A JSON number, a JSON string and a CSV cell reach exact as the same text.
+    spellings = {
+        "number.json": '{"entries": [[' + digits + ", 1], [1, 1]]}",
+        "string.json": json.dumps({"entries": [[digits, 1], [1, 1]]}),
+        "cell.csv": digits + ",1\n1,1\n",
+    }
+    limit = sys.get_int_max_str_digits()
+    message = f"matrix entry {re.escape(repr(digits[:12] + '...'))} has more than {limit} digits$"
+    for name, text in spellings.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_matrix(path)
+    (tmp_path / "n.json").write_text('{"n": ' + digits + ', "entries": [[1]]}')
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        load_matrix(tmp_path / "n.json")
 
 
 def test_load_matrix_drops_a_byte_order_mark(tmp_path):
@@ -745,6 +769,73 @@ def test_qimm_linearity_on_non_symmetric_elements():
         for _ in range(3):
             a = _random_matrix(rng, n)
             assert qimm(a, combined) == x * qimm(a, q1) + y * qimm(a, q2)
+
+
+def _class_size_weighted_permanent(a):
+    """Sum over sigma of n!/z_mu times a[1,sigma(1)] ... a[n,sigma(n)], mu sigma's cycle type."""
+    total = Fraction(0)
+    for sigma in enumerate_permutations(a.n):
+        term = Fraction(math.factorial(a.n), z_of(cycle_type(sigma)))
+        for i, j in enumerate(sigma, start=1):
+            term *= a.entry(i, j)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_qimm_is_linear_on_each_side_of_the_symmetric_split(n):
+    # h_n is symmetric, so qimm reads it by cycle type: the permanent.  Moved
+    # off Sym by t M[2,1^(n-2)], however small t, the element is read by
+    # cycle composition, where h_n weighs sigma by n! [Psi_alpha] h_n = n!/z_mu.
+    rng = random.Random(2630 + n)
+    a = _rational_matrix(rng, n)
+    h, m = homogeneous_sym((n,)), QSym.basis_element("M", (2,) + (1,) * (n - 2))
+    walked = _class_size_weighted_permanent(a)
+    assert qimm(a, h) == permanent(a)
+    for t in (Fraction(1), Fraction(1, 10**9)):
+        assert not is_symmetric(h + t * m)
+        assert qimm(a, h + t * m) == walked + t * qimm(a, m)
+
+
+def test_qimm_jumps_at_h_3():
+    a = SquareMatrix([[1, 2, 0], [0, 1, 3], [1, 1, 1]])
+    h, m = homogeneous_sym((3,)), QSym.basis_element("M", (2, 1))
+    assert qimm(a, h) == 10 == permanent(a)
+    assert _class_size_weighted_permanent(a) == 22 and qimm(a, m) == -12
+    assert qimm(a, h + Fraction(1, 10**9) * m) == 22 - Fraction(12, 10**9)
+
+
+def test_quasischur_is_symmetric_exactly_at_rectangles():
+    # So qimm(a, qs_(k^m)) takes the cycle-type reading, and every other shape
+    # the cycle-composition one.
+    rectangles = []
+    for n in range(1, 11):
+        for alpha in enumerate_compositions(n):
+            q = quasischur(alpha)
+            if is_symmetric(q):
+                assert q == schur_sym(alpha)
+                rectangles.append(alpha)
+    expected = [(k,) * (n // k) for n in range(1, 11) for k in range(n, 0, -1) if n % k == 0]
+    assert rectangles == expected
+    assert len(rectangles) == 27
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_rearranged_hook_quasi_immanants_sum_to_class_size_weighted_characters(n):
+    # Not second_immanant(a): each qs_(1^k,2,1^(n-2-k)) is read by cycle
+    # composition, so the sum over k weighs each class sum S_beta by n!/z_beta
+    # times chi^(2,1^(n-2))(beta).
+    rng = random.Random(2640 + n)
+    hook = (2,) + (1,) * (n - 2)
+    for a in (_rational_matrix(rng, n), _sparse_matrix(rng, n)):
+        total = sum(qimm(a, quasischur((1,) * k + (2,) + (1,) * (n - 2 - k))) for k in range(n - 1))
+        sums, scale = class_sums(a)
+        expected = sum(
+            Fraction(math.factorial(n) * s, z_of_composition(beta) * scale)
+            * irreducible_character(hook, sort_composition(beta))
+            for beta, s in sums.items()
+        )
+        assert total == expected
 
 
 def test_qimm_argument_validation():

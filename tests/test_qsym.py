@@ -454,13 +454,31 @@ def _element(basis, terms):
     )
 
 
-@pytest.mark.parametrize("source, target", [("M", "Psi"), ("M", "Phi"), ("Psi", "M"), ("Phi", "M")])
+@pytest.mark.parametrize(
+    "source, target",
+    [("M", "Psi"), ("M", "Phi"), ("Psi", "M"), ("Phi", "M"), ("Psi", "Phi"), ("Phi", "Psi")],
+)
 @given(terms=_TERMS)
 @example(terms=[(0, 0, 3, 2)])
 @example(terms=[(0, 0, 1, 1), (1, 0, -2, 3), (8, 127, 5, 7), (8, 0, 1, 2)])
 def test_mask_pass_matches_the_rows_oracle(source, target, terms):
     q = _element(source, terms)
     assert to_coords(q, target).coeffs == coordinates_by_rows(q, target)
+
+
+@pytest.mark.parametrize("source", ["M", "Psi", "Phi"])
+@pytest.mark.parametrize("target", ["Psi", "Phi"])
+@given(terms=_TERMS)
+@example(terms=[(0, 0, 3, 2), (8, 127, 5, 7), (8, 0, 1, 2), (3, 1, -2, 9)])
+def test_power_numerators_are_n_factorial_times_the_rows_oracle(source, target, terms):
+    # Mixed degrees share one den, so every degree's n! and every term's scale meet in it.
+    q = _element(source, terms)
+    sums, den = qsym.power_numerators(q, target)
+    assert all(isinstance(s, int) and s for s in sums.values())
+    expected = coordinates_by_rows(q, target)
+    assert {a: Fraction(s, den) for a, s in sums.items()} == {
+        a: c * math.factorial(sum(a)) for a, c in expected.items()
+    }
 
 
 @given(terms=_TERMS)

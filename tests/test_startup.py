@@ -81,7 +81,9 @@ REMOVED = {
         "coarsenings", "descent_set", "dominance_order", "ell_stat", "lp_stat", "refines",
         "split_blocks",
     ),
-    "qsym": ("count_composition_tableaux", "m_to_power_row", "power_to_m_row"),
+    "qsym": (
+        "count_composition_tableaux", "m_to_power_row", "power_to_m_row", "_to_power", "_to_m",
+    ),
 }
 
 
