@@ -356,10 +356,11 @@ def to_coords(q: QSym, target: str) -> QSym:
 def power_numerators(q: QSym, target: str) -> tuple[dict, int]:
     """n! times the Psi or Phi coordinates of q, n the degree of each term: ({alpha: int}, den).
 
-    The integer is the mask pass's sum times n!/z_alpha, over the input's
-    scale.  Phi's pass carries n! in its sum, so there it is the sum times
-    N!/z_alpha over the scale times N!, N the top degree.  An input already
-    in target is read as n! c over its own scale.
+    Psi's rule does not divide, so the integer is the mask pass's sum times
+    n!/z_alpha, over the input's scale.  Phi's rule divides and its pass
+    carries n!, so there it is the sum times N!/z_alpha over the scale
+    times N!, N the top degree.  An input already in target is read as n! c
+    over its own scale.
     """
     if target not in ("Psi", "Phi"):
         raise ValueError(f"unknown power-sum basis {target!r}; expected 'Psi' or 'Phi'")
