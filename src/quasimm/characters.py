@@ -16,6 +16,7 @@ from types import MappingProxyType
 from . import qsym
 from .combinatorics import (
     Partition,
+    ReadOnly,
     as_composition,
     as_partition,
     compositions,
@@ -82,7 +83,7 @@ def _strip_recursion(lam: Partition, mu: Partition, memo: dict) -> int:
     return total
 
 
-class CoefficientTable:
+class CoefficientTable(ReadOnly):
     """Per-class weights for a permutation sum.
 
     key is "ctype" (weights indexed by cycle type, defined on every
@@ -106,7 +107,7 @@ class CoefficientTable:
         }
         made = CoefficientTable.from_numerators(degree, key, *integer_terms(weights), provenance)
         for name in self.__slots__:
-            object.__setattr__(self, name, getattr(made, name))
+            setattr(self, name, getattr(made, name))
 
     @classmethod
     def from_numerators(cls, degree: int, key: str, numerators, den: int, provenance: str = ""):
@@ -124,17 +125,12 @@ class CoefficientTable:
         numerators = MappingProxyType({index: w // common for index, w in numerators.items()})
         table = object.__new__(cls)
         for name, value in zip(cls.__slots__, (degree, key, numerators, den // common, provenance)):
-            object.__setattr__(table, name, value)
+            setattr(table, name, value)
         return table
 
     @property
     def values(self) -> dict:
         return {index: Fraction(w, self.den) for index, w in self.numerators.items()}
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"CoefficientTable is read-only: cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientTable):

@@ -6,7 +6,8 @@ positive integers, and a permutation of {1..n} is a tuple of its images
 in one-line notation.  The empty tuple is the unique partition,
 composition, and permutation of order 0.  Every number read from a
 caller (a matrix entry, a coefficient, a scalar or a weight) passes one
-rule, exact, and becomes a Fraction.
+rule, exact, and becomes a Fraction.  Matrices, elements and tables are
+ReadOnly: changing or deleting a set attribute raises AttributeError.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def exact(value, name: str, *args) -> Fraction:
     Anything else, floats and booleans included, is refused with a ValueError
     naming the value by name % args, formatted only then; so is text past the
     interpreter's int-to-text digit limit.  A value whose repr passes 80
-    characters is named by its first 12 (of the text, or else of the repr).
+    characters is named by its first 12 (of the text, or else of the repr),
+    and one holding an int past that limit, whose repr fails, by its type.
     """
     reason = "is not an integer or a/b"
     if isinstance(value, (bool, float)):
@@ -49,17 +51,34 @@ def exact(value, name: str, *args) -> Fraction:
             return Fraction(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    shown = repr(value)
+    try:
+        shown = repr(value)
+    except ValueError:  # it holds an int past the int-to-text digit limit
+        shown = f"<{type(value).__name__} holding an int past the digit limit>"
     if len(shown) > 80:
-        cut = value[:12] + "..." if isinstance(value, str) else _Shown(shown[:12] + "...")
-        args = tuple(cut if arg is value else arg for arg in args)
+        shown = repr(value[:12] + "...") if isinstance(value, str) else shown[:12] + "..."
+    args = tuple(_Shown(shown) if arg is value else arg for arg in args)
     raise ValueError(f"{name % args} {reason}")
 
 
 class _Shown(str):
-    """Text that %r shows as it stands: the cut repr of a refused value."""
+    """Text that %r shows as it stands: the repr, or cut repr, of a refused value."""
 
     __repr__ = str.__str__
+
+
+class ReadOnly:
+    """A base whose slots are each set once, as an object is built, copied or unpickled."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
 
 
 def integer_terms(coeffs: dict):

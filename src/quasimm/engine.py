@@ -2,22 +2,23 @@
 
 Every matrix function here is one weighted_perm_sum: the matrix's class
 sums, one exact sum of diagonal products per cycle composition, contracted
-with a per-class weight vector.  The whole pass runs in integers: rows are
-scaled to integers, and the contraction is one integer dot product with the
-table's numerators, so one Fraction is built per call.  The weights are a
-named CoefficientTable of integers keyed by cycle type or by cycle
-composition: the character of lam for the immanant of lam (the permanent
-and determinant are those of (n) and (1,...,1), and share their tables), the
-sign character induced from S_lam for the elementary immanant, the hook
-rule for the fast hook path, and otherwise the table read from a
-quasisymmetric element.  Each is built once and kept in one bounded LRU
-cache, keyed by its builder and the order, shape or element it is built
-from.  class_sums is a subset DP in integers: Held-Karp path sums give the
-sum of cyclic products on each index set, and chaining those cycles in
-min-first order gives the class sums.  Both stages visit only the index
-sets reachable along nonzero entries, never all 2^n: a dense matrix costs
-about 4^n/12 (covered set, cycle) pairs, 88 000 at n = 10 against 10!
-leaves, and a banded one far fewer.  The permutation walk it replaced is a test oracle.
+with a per-class weight vector.  The whole pass runs in integers: a matrix
+is scaled to integers once, when it is built, and the contraction is one
+integer dot product with the table's numerators, so one Fraction is built
+per call.  The weights are a named CoefficientTable of integers keyed by
+cycle type or by cycle composition: the character of lam for the immanant
+of lam (the permanent and determinant are those of (n) and (1,...,1), and
+share their tables), the sign character induced from S_lam for the
+elementary immanant, the hook rule for the fast hook path, and otherwise
+the table read from a quasisymmetric element.  Each is built once and kept
+in one bounded LRU cache, keyed by its builder and the order, shape or
+element it is built from.  class_sums is a subset DP in integers: Held-Karp
+path sums give the sum of cyclic products on each index set, and chaining
+those cycles in min-first order gives the class sums.  Both stages visit
+only the index sets reachable along nonzero entries, never all 2^n: a dense
+matrix costs about 4^n/12 (covered set, cycle) pairs, 88 000 at n = 10
+against 10! leaves, and a banded one far fewer.  The permutation walk it
+replaced is a test oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from functools import lru_cache
 
 from .characters import CoefficientTable, character_class_function, induced_sign_character
 from .combinatorics import (
+    ReadOnly,
     as_composition,
     as_partition,
     compositions,
@@ -43,37 +45,47 @@ from .combinatorics import (
 from .qsym import QSym, is_symmetric, monomial_sym, p_weights, power_numerators
 
 
-class SquareMatrix:
-    """Immutable dense square matrix of exact rationals."""
+class SquareMatrix(ReadOnly):
+    """Immutable square matrix of exact rationals, scaled to integers once, when built.
 
-    __slots__ = ("n", "rows")
+    integers holds each row times lcms[i], the lcm of its denominators: the one
+    form every pass reads, and the canonical one that matrices compare and hash
+    by.  rows and entry are Fraction views of it.
+    """
+
+    __slots__ = ("n", "integers", "lcms")
 
     def __init__(self, rows):
         sequence = (list, tuple)  # text or bytes would be read one character at a time
         if not isinstance(rows, sequence) or not all(isinstance(row, sequence) for row in rows):
             raise ValueError("matrix must be a list of rows, each a list of entries")
-        converted = [tuple(exact(e, "matrix entry %r", e) for e in row) for row in rows]
-        n = len(converted)
-        if n == 0 or any(len(row) != n for row in converted):
+        rows = [[exact(e, "matrix entry %r", e) for e in row] for row in rows]
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        self.n = n
-        self.rows = tuple(converted)
+        self.n = len(rows)
+        self.lcms = tuple(math.lcm(*(e.denominator for e in row)) for row in rows)
+        scaled = zip(rows, self.lcms)
+        self.integers = tuple(tuple(e.numerator * d // e.denominator for e in row) for row, d in scaled)
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @property
+    def rows(self) -> tuple:
+        return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(self.integers, self.lcms))
+
     def entry(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j, both 1-based."""
-        return self.rows[i - 1][j - 1]
+        return Fraction(self.integers[i - 1][j - 1], self.lcms[i - 1])
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.integers == other.integers and self.lcms == other.lcms
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.integers, self.lcms))
 
     def __repr__(self):
         return f"SquareMatrix({[[str(e) for e in row] for row in self.rows]})"
@@ -126,21 +138,11 @@ def _json_int(digits: str):
         return digits
 
 
-def _integer_rows(a: SquareMatrix) -> tuple[list, int]:
-    """Each row times the lcm of its denominators, and the product of those lcms."""
-    rows, scale = [], 1
-    for row in a.rows:
-        lcm = math.lcm(*(e.denominator for e in row))
-        scale *= lcm
-        rows.append([e.numerator * (lcm // e.denominator) for e in row])
-    return rows, scale
-
-
 def class_sums(a: SquareMatrix) -> tuple[dict, int]:
     """Sums of a[1,sigma(1)] * ... * a[n,sigma(n)] by cycle composition alpha of sigma.
 
-    Returns ({alpha: integer sum}, scale): each row is scaled to integers by
-    the lcm of its denominators, so a class sum is its integer over scale.
+    Returns ({alpha: integer sum}, scale): the sums of the matrix's integer
+    rows, so a class sum is its integer over scale, the product of the lcms.
     A subset DP in two stages, each visiting only the index sets it can
     reach along nonzero entries.  First the cycle sums: W(T), the sum of
     the cyclic products on T, from Held-Karp path sums that start at
@@ -150,8 +152,7 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
     not in U (the min-first order of combinatorics.cycles), appending |T|
     to each composition held at U.
     """
-    n = a.n
-    dense, scale = _integer_rows(a)
+    n, dense = a.n, a.integers
     nonzero = [[(j, v) for j, v in enumerate(ints) if v] for ints in dense]
     cycles = []  # per start s: (T, |T|, W(T)) for each T with min(T) = s and W(T) != 0
     for s in range(n):
@@ -186,7 +187,7 @@ def class_sums(a: SquareMatrix) -> tuple[dict, int]:
                     alpha += (length,)
                     target[alpha] = target.get(alpha, 0) + c * w
         pending[s] = None
-    return pending[n].get((1 << n) - 1, {}), scale
+    return pending[n].get((1 << n) - 1, {}), math.prod(a.lcms)
 
 
 def weighted_perm_sum(a: SquareMatrix, table: CoefficientTable) -> Fraction:
@@ -221,13 +222,11 @@ def determinant(a: SquareMatrix) -> Fraction:
 def determinant_elimination(a: SquareMatrix) -> Fraction:
     """Determinant by fraction-free elimination, independent of any permutation sum.
 
-    Rows are scaled to integers first; the integer elimination keeps every
-    division exact.
+    It eliminates on a copy of the matrix's integer rows; the integer
+    elimination keeps every division exact.
     """
-    n = a.n
-    m, scale = _integer_rows(a)
-    flip = 1
-    prev = 1
+    n, m = a.n, [list(row) for row in a.integers]
+    flip = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -242,7 +241,7 @@ def determinant_elimination(a: SquareMatrix) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(flip * m[n - 1][n - 1], scale)
+    return Fraction(flip * m[n - 1][n - 1], math.prod(a.lcms))
 
 
 def immanant(a: SquareMatrix, lam) -> Fraction:

@@ -19,6 +19,7 @@ from functools import reduce
 from types import MappingProxyType
 
 from .combinatorics import (
+    ReadOnly,
     as_composition,
     as_partition,
     compositions,
@@ -35,7 +36,7 @@ from .combinatorics import (
 BASES = ("M", "Psi", "Phi")
 
 
-class QSym:
+class QSym(ReadOnly):
     """Finite linear combination of basis terms, tagged by coordinate basis.
 
     Instances are immutable and hashable; coeffs is a read-only mapping to
@@ -84,7 +85,7 @@ class QSym:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.basis, frozenset(self.coeffs.items())))
+            object.__setattr__(self, "_hash", hash((self.basis, frozenset(self.coeffs.items()))))
         return self._hash
 
     def __add__(self, other):

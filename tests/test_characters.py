@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import re
@@ -208,6 +209,10 @@ def test_table_attributes_are_read_only():
     with pytest.raises(AttributeError):
         del table.values
     assert table == character_class_function((3,))
+    copied = copy.copy(table)
+    assert copied == table and copied.numerators == table.numerators
+    with pytest.raises(AttributeError, match="CoefficientTable is read-only: cannot change 'den'"):
+        copied.den = 2
 
 
 def test_table_repr_names_every_field():

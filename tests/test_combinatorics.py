@@ -343,6 +343,21 @@ def test_every_door_names_a_long_refused_value_by_its_first_characters(value, sh
         assert len(message) < 200, door
 
 
+@pytest.mark.parametrize("value", [[10**5000], ([1, 2], {3: -(10**4301)})], ids=["list", "nested"])
+def test_every_door_names_a_refused_value_holding_an_int_past_the_digit_limit(value):
+    """Such a value has no repr, so it is named by its type, not by Python's bare digit-limit error."""
+    name = f"<{type(value).__name__} holding an int past the digit limit>"
+    for door, read in _DOORS.items():
+        with pytest.raises(ValueError, match="is not an integer or a/b") as refused:
+            read(value)
+        message = str(refused.value)
+        assert message.startswith(door.split()[0]) and name in message, door
+    with pytest.raises(ValueError, match=r"^matrix entry <list holding an int past the digit limit>"):
+        SquareMatrix([[[10**5000]]])
+    with pytest.raises(ValueError, match=r"^coefficient <list holding an int past the digit limit>"):
+        QSym("M", {(1,): [10**5000]})
+
+
 @pytest.mark.parametrize("text", ["1" * 5000, "-" + "7" * 5000, "3/" + "2" * 5000])
 def test_every_door_names_text_past_the_digit_limit(text):
     """Text past the interpreter's int-to-text limit is refused by position, not echoed in full."""

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -99,6 +101,69 @@ def test_matrix_construction():
         SquareMatrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         SquareMatrix([])
+
+
+def test_matrix_is_scaled_to_integers_once_and_kept():
+    a = SquareMatrix([["1/2", Fraction(2, 4), Decimal("0.5")], [1, 2, "-3"], ["1/6", "1/4", 0]])
+    assert a.integers == ((1, 1, 1), (1, 2, -3), (2, 3, 0)) and a.lcms == (2, 1, 12)
+    assert a.rows == ((Fraction(1, 2),) * 3, (1, 2, -3), (Fraction(1, 6), Fraction(1, 4), 0))
+    assert all(type(e) is Fraction for row in a.rows for e in row)
+    assert a.entry(3, 2) == Fraction(1, 4) and type(a.entry(2, 1)) is Fraction
+    assert class_sums(a) == _walk_class_sums(a)
+
+
+def test_differently_spelled_matrices_are_one_matrix():
+    # The scaled rows are canonical, so they decide equality and the hash.
+    a = SquareMatrix([["1/2", Fraction(2, 4), Decimal("0.5")], [1, 2, "-3"], ["1/6", "1/4", 0]])
+    b = SquareMatrix([["2/4"] * 3, [Fraction(1), Decimal("2.0"), -3], [Fraction(1, 6), "3/12", "0/5"]])
+    assert a == b and hash(a) == hash(b) and len({a, b, SquareMatrix(a.rows)}) == 1
+    assert repr(a) == repr(b) and a.to_json_dict() == b.to_json_dict()
+    # Equal scaled rows over other lcms are another matrix.
+    assert SquareMatrix([[1, 1], [0, 1]]) != SquareMatrix([["1/2", "1/2"], [0, 1]])
+
+
+def test_matrix_attributes_are_read_only_and_copies_keep_the_matrix():
+    a = SquareMatrix([[1, "1/2"], ["3/4", -2]])
+    for name in ("n", "rows", "integers", "lcms", "entry", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    with pytest.raises(AttributeError, match="read-only"):
+        del a.integers
+    for made in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert made == a and hash(made) == hash(a) and made.rows == a.rows
+        with pytest.raises(AttributeError, match="read-only"):
+            made.lcms = (1, 1)
+    assert a.integers == ((2, 1), (3, -8)) and a.lcms == (2, 4)
+
+
+def test_an_element_is_read_only_so_no_cached_table_goes_stale():
+    # Were basis writable, qimm(a, q) would read the table cached for the
+    # M element after q had become the Psi element, which gives 6.
+    a = SquareMatrix([[1, 2, 0], [0, 1, 3], [1, 1, 1]])
+    q = quasischur((2, 1))
+    assert qimm(a, q) == -8
+    with pytest.raises(AttributeError, match="QSym is read-only: cannot change 'basis'"):
+        q.basis = "Psi"
+    for name in ("coeffs", "_hash", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, None)
+    with pytest.raises(AttributeError):
+        del q.coeffs
+    assert q.basis == "M" and qimm(a, q) == -8
+    assert qimm(a, QSym("Psi", {(2, 1): 1, (1, 1, 1): 1})) == 6
+    assert copy.copy(q) == q and hash(copy.copy(q)) == hash(q)
+
+
+def test_determinant_elimination_leaves_the_stored_integers_alone():
+    # The stored rows are tuples, so the elimination swaps and overwrites
+    # rows of its own copy; a second call reads the same integers.
+    rng = random.Random(2700)
+    for n in range(1, 7):
+        for a in (_rational_matrix(rng, n), _sparse_matrix(rng, n), SquareMatrix([[0] * n] * n)):
+            kept = SquareMatrix(a.rows)
+            assert determinant_elimination(a) == determinant(a) == determinant_elimination(a)
+            assert all(type(row) is tuple for row in a.integers)
+            assert a == kept and a.integers == kept.integers and a.lcms == kept.lcms
 
 
 def test_matrix_json_round_trip():
@@ -788,7 +853,7 @@ def test_qimm_is_linear_on_each_side_of_the_symmetric_split(n):
     # off Sym by t M[2,1^(n-2)], however small t, the element is read by
     # cycle composition, where h_n weighs sigma by n! [Psi_alpha] h_n = n!/z_mu.
     rng = random.Random(2630 + n)
-    a = _rational_matrix(rng, n)
+    a = _small_rational_matrix(rng, n)
     h, m = homogeneous_sym((n,)), QSym.basis_element("M", (2,) + (1,) * (n - 2))
     walked = _class_size_weighted_permanent(a)
     assert qimm(a, h) == permanent(a)
@@ -827,7 +892,7 @@ def test_rearranged_hook_quasi_immanants_sum_to_class_size_weighted_characters(n
     # times chi^(2,1^(n-2))(beta).
     rng = random.Random(2640 + n)
     hook = (2,) + (1,) * (n - 2)
-    for a in (_rational_matrix(rng, n), _sparse_matrix(rng, n)):
+    for a in (_small_rational_matrix(rng, n), _sparse_matrix(rng, n)):
         total = sum(qimm(a, quasischur((1,) * k + (2,) + (1,) * (n - 2 - k))) for k in range(n - 1))
         sums, scale = class_sums(a)
         expected = sum(
@@ -866,11 +931,11 @@ def test_elementary_immanant_matches_the_element_route(n):
     # read back into p on the other, on matrices with rational entries.
     rng = random.Random(7100 + n)
     for lam in enumerate_partitions(n):
-        for a in (_rational_matrix(rng, n), _sparse_matrix(rng, n)):
+        for a in (_small_rational_matrix(rng, n), _sparse_matrix(rng, n)):
             assert elementary_immanant(a, lam) == qimm(a, elementary_sym(lam))
 
 
-def _rational_matrix(rng, n):
+def _small_rational_matrix(rng, n):
     return SquareMatrix(
         [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
     )

@@ -81,6 +81,7 @@ REMOVED = {
         "coarsenings", "descent_set", "dominance_order", "ell_stat", "lp_stat", "refines",
         "split_blocks",
     ),
+    "engine": ("_integer_rows",),
     "qsym": (
         "count_composition_tableaux", "m_to_power_row", "power_to_m_row", "_to_power", "_to_m",
     ),
