@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
 
 from . import qsym
 from .combinatorics import (
@@ -25,6 +24,7 @@ from .combinatorics import (
     exact,
     format_parts,
     integer_terms,
+    named,
     sort_composition,
     z_of,
     z_of_composition,
@@ -95,47 +95,37 @@ class CoefficientTable(ReadOnly):
     common denominator; values is the {class: Fraction} view of them.
     from_numerators builds a table from such integers with the same checks.
     provenance names the construction that produced the weights.
-    Tables compare by their fields; their attributes and numerators are read-only.
+    Tables compare and hash by their fields; their attributes and numerators are read-only.
     """
 
     __slots__ = ("degree", "key", "numerators", "den", "provenance")
 
-    def __init__(self, degree: int, key: str, values: dict, provenance: str = ""):
+    def __new__(cls, degree: int, key: str, values: dict, provenance: str = ""):
         weights = {
             i: exact(w, "weights (at the %s class %r): %r", key, i, w)
             for i, w in dict(values).items()
         }
-        made = CoefficientTable.from_numerators(degree, key, *integer_terms(weights), provenance)
-        for name in self.__slots__:
-            setattr(self, name, getattr(made, name))
+        return cls.from_numerators(degree, key, *integer_terms(weights), provenance)
 
     @classmethod
     def from_numerators(cls, degree: int, key: str, numerators, den: int, provenance: str = ""):
         """The table of the weights numerators[class]/den, ints over an int den >= 1, reduced."""
         if key not in ("ctype", "ccomp"):
-            raise ValueError(f"unknown table key {key!r}; expected 'ctype' or 'ccomp'")
+            raise ValueError(f"unknown table key {named(key)}; expected 'ctype' or 'ccomp'")
         numerators = dict(numerators)  # a copy, so the checks below keep holding
         _check_classes(degree, key, numerators)
         for index, w in numerators.items():
             if type(w) is not int:
-                raise ValueError(f"{key} numerator at the class {index!r} is not an int: {w!r}")
+                raise ValueError(f"{key} numerator at the class {index!r} is not an int: {named(w)}")
         if type(den) is not int or den < 1:
-            raise ValueError(f"table den {den!r} is not a positive integer")
+            raise ValueError(f"table den {named(den)} is not a positive integer")
         common = math.gcd(den, *numerators.values())
-        numerators = MappingProxyType({index: w // common for index, w in numerators.items()})
-        table = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (degree, key, numerators, den // common, provenance)):
-            setattr(table, name, value)
-        return table
+        numerators = {index: w // common for index, w in numerators.items()}
+        return cls._of(degree, key, numerators, den // common, provenance)
 
     @property
     def values(self) -> dict:
         return {index: Fraction(w, self.den) for index, w in self.numerators.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, CoefficientTable):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self):
         names = ("degree", "key", "values", "provenance")
@@ -145,19 +135,19 @@ class CoefficientTable(ReadOnly):
     def __call__(self, index) -> Fraction:
         index = as_partition(index) if self.key == "ctype" else as_composition(index)
         if index not in self.numerators:
-            raise ValueError(f"{self.key} table of degree {self.degree} has no class {index!r}")
+            raise ValueError(f"{self.key} table of degree {self.degree} has no class {named(index)}")
         return Fraction(self.numerators[index], self.den)
 
 
 def _check_classes(degree, key: str, values: dict) -> None:
     """Raise ValueError naming a foreign or a missing class unless values has every class once."""
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise ValueError(f"table degree {degree!r} is not a nonnegative integer")
+        raise ValueError(f"table degree {named(degree)} is not a nonnegative integer")
     classes = enumerate_partitions(degree) if key == "ctype" else compositions(degree)
     foreign = set(values).difference(classes)
     if foreign:
         bad = next(index for index in values if index in foreign)
-        raise ValueError(f"{key} table of degree {degree} has the foreign class {bad!r}")
+        raise ValueError(f"{key} table of degree {degree} has the foreign class {named(bad)}")
     if len(values) != len(classes):
         missing = next(c for c in classes if c not in values)
         raise ValueError(f"{key} table of degree {degree} has no weight for the class {missing!r}")

@@ -6,8 +6,9 @@ positive integers, and a permutation of {1..n} is a tuple of its images
 in one-line notation.  The empty tuple is the unique partition,
 composition, and permutation of order 0.  Every number read from a
 caller (a matrix entry, a coefficient, a scalar or a weight) passes one
-rule, exact, and becomes a Fraction.  Matrices, elements and tables are
-ReadOnly: changing or deleting a set attribute raises AttributeError.
+rule, exact, and becomes a Fraction, and a refusal names a value by one
+rule, named.  Matrices, elements and tables are ReadOnly values: built,
+compared, hashed, copied and pickled by that one base.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -32,10 +34,9 @@ def exact(value, name: str, *args) -> Fraction:
     """value as a Fraction: an int, a rational number, a finite Decimal, or text by the text rule.
 
     Anything else, floats and booleans included, is refused with a ValueError
-    naming the value by name % args, formatted only then; so is text past the
-    interpreter's int-to-text digit limit.  A value whose repr passes 80
-    characters is named by its first 12 (of the text, or else of the repr),
-    and one holding an int past that limit, whose repr fails, by its type.
+    naming the value by name % args, formatted only then, each %r argument
+    by the rule of named; so is text past the interpreter's int-to-text digit
+    limit.
     """
     reason = "is not an integer or a/b"
     if isinstance(value, (bool, float)):
@@ -51,34 +52,70 @@ def exact(value, name: str, *args) -> Fraction:
             return Fraction(value)
         except (TypeError, ValueError, OverflowError):
             pass
+    specs = re.findall("%[rs]", name)
+    shown = tuple(named(arg) if spec == "%r" else arg for spec, arg in zip(specs, args))
+    raise ValueError(f"{name.replace('%r', '%s') % shown} {reason}")
+
+
+def named(value) -> str:
+    """How a refusal names value: its repr, cut past 80 characters, or its type if the repr fails.
+
+    A cut repr is the first 12 characters (of the text, for text) and "...";
+    a repr fails on a value holding an int past the int-to-text digit limit.
+    """
     try:
         shown = repr(value)
-    except ValueError:  # it holds an int past the int-to-text digit limit
-        shown = f"<{type(value).__name__} holding an int past the digit limit>"
-    if len(shown) > 80:
-        shown = repr(value[:12] + "...") if isinstance(value, str) else shown[:12] + "..."
-    args = tuple(_Shown(shown) if arg is value else arg for arg in args)
-    raise ValueError(f"{name % args} {reason}")
-
-
-class _Shown(str):
-    """Text that %r shows as it stands: the repr, or cut repr, of a refused value."""
-
-    __repr__ = str.__str__
+    except ValueError:
+        return f"<{type(value).__name__} holding an int past the digit limit>"
+    if len(shown) <= 80:
+        return shown
+    return repr(value[:12] + "...") if isinstance(value, str) else shown[:12] + "..."
 
 
 class ReadOnly:
-    """A base whose slots are each set once, as an object is built, copied or unpickled."""
+    """An exact value whose fields are its class's __slots__, each set once, by _of.
 
-    __slots__ = ()
+    A dict field is held as a read-only mapping.  Values compare by type and
+    fields, and hash by their fields, once; copy, deepcopy and pickle rebuild
+    them through _of.  Setting or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ("_hash",)
+
+    @classmethod
+    def _of(cls, *fields):
+        """The value of cls with these fields, checked by the caller and held by no one else."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields, strict=True):
+            field = MappingProxyType(field) if type(field) is dict else field
+            object.__setattr__(value, name, field)
+        return value
+
+    def _fields(self, mapping) -> tuple:
+        """The fields, each read-only mapping as mapping(its items)."""
+        fields = (getattr(self, name) for name in self.__slots__)
+        return tuple(mapping(f.items()) if type(f) is MappingProxyType else f for f in fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet
+            object.__setattr__(self, "_hash", hash(self._fields(frozenset)))
+            return self._hash
+
+    def __reduce__(self):
+        return self._of, self._fields(dict)
 
     def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+        self.__setattr__(name, None)
 
 
 def integer_terms(coeffs: dict):
@@ -92,7 +129,7 @@ def as_composition(parts) -> Composition:
     alpha = tuple(parts)
     for p in alpha:
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"composition parts must be positive integers: {alpha!r}")
+            raise ValueError(f"composition parts must be positive integers: {named(alpha)}")
     return alpha
 
 
@@ -100,7 +137,7 @@ def as_partition(parts) -> Partition:
     """Validate a weakly decreasing sequence of positive integers."""
     lam = as_composition(parts)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {lam!r}")
+        raise ValueError(f"partition parts must be weakly decreasing: {named(lam)}")
     return lam
 
 
@@ -108,7 +145,7 @@ def as_permutation(images) -> Permutation:
     """Validate one-line notation: a rearrangement of 1..n."""
     sigma = tuple(images)
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(sigma)}: {sigma!r}")
+        raise ValueError(f"not a permutation of 1..{len(sigma)}: {named(sigma)}")
     return sigma
 
 
@@ -252,7 +289,7 @@ def parse_parts(text: str) -> Composition:
     try:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"malformed index: {text!r}") from None
+        raise ValueError(f"malformed index: {named(text)}") from None
     return as_composition(parts)
 
 

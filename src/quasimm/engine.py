@@ -40,6 +40,7 @@ from .combinatorics import (
     enumerate_partitions,
     exact,
     integer_terms,
+    named,
     sort_composition,
 )
 from .qsym import QSym, is_symmetric, monomial_sym, p_weights, power_numerators
@@ -55,17 +56,17 @@ class SquareMatrix(ReadOnly):
 
     __slots__ = ("n", "integers", "lcms")
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         sequence = (list, tuple)  # text or bytes would be read one character at a time
         if not isinstance(rows, sequence) or not all(isinstance(row, sequence) for row in rows):
             raise ValueError("matrix must be a list of rows, each a list of entries")
         rows = [[exact(e, "matrix entry %r", e) for e in row] for row in rows]
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        self.n = len(rows)
-        self.lcms = tuple(math.lcm(*(e.denominator for e in row)) for row in rows)
-        scaled = zip(rows, self.lcms)
-        self.integers = tuple(tuple(e.numerator * d // e.denominator for e in row) for row, d in scaled)
+        lcms = tuple(math.lcm(*(e.denominator for e in row)) for row in rows)
+        scaled = zip(rows, lcms)
+        integers = tuple(tuple(e.numerator * d // e.denominator for e in row) for row, d in scaled)
+        return cls._of(len(rows), integers, lcms)
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
@@ -78,14 +79,6 @@ class SquareMatrix(ReadOnly):
     def entry(self, i: int, j: int) -> Fraction:
         """Entry in row i, column j, both 1-based."""
         return Fraction(self.integers[i - 1][j - 1], self.lcms[i - 1])
-
-    def __eq__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return self.integers == other.integers and self.lcms == other.lcms
-
-    def __hash__(self):
-        return hash((self.integers, self.lcms))
 
     def __repr__(self):
         return f"SquareMatrix({[[str(e) for e in row] for row in self.rows]})"
@@ -287,7 +280,7 @@ def qimm_coefficient_table(q: QSym, variant: str = "Psi") -> CoefficientTable:
 
 def _checked_variant(variant: str) -> str:
     if variant not in ("Psi", "Phi"):
-        raise ValueError(f"unknown power-sum variant {variant!r}")
+        raise ValueError(f"unknown power-sum variant {named(variant)}")
     return variant
 
 

@@ -16,7 +16,6 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from types import MappingProxyType
 
 from .combinatorics import (
     ReadOnly,
@@ -28,6 +27,7 @@ from .combinatorics import (
     format_parts,
     integer_terms,
     mask_composition,
+    named,
     sort_composition,
     z_of,
     z_of_composition,
@@ -44,27 +44,18 @@ class QSym(ReadOnly):
     Mixed degrees are allowed, but conversions handle each degree separately.
     """
 
-    __slots__ = ("basis", "coeffs", "_hash")
+    __slots__ = ("basis", "coeffs")
 
-    def __init__(self, basis: str, coeffs=()):
+    def __new__(cls, basis: str, coeffs=()):
         if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+            raise ValueError(f"unknown basis {named(basis)}; expected one of {BASES}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict = {}
         for alpha, c in items:
             c = exact(c, "coefficient %r at %r", c, alpha)
             alpha = as_composition(alpha)
             clean[alpha] = clean.get(alpha, Fraction(0)) + c
-        self.basis = basis
-        self.coeffs = MappingProxyType({a: c for a, c in clean.items() if c})
-        self._hash = None
-
-    @classmethod
-    def _made(cls, basis: str, coeffs: dict) -> "QSym":
-        """An element from terms the library built itself: compositions to nonzero Fractions."""
-        q = object.__new__(cls)
-        q.basis, q.coeffs, q._hash = basis, MappingProxyType(coeffs), None
-        return q
+        return cls._of(basis, {a: c for a, c in clean.items() if c})
 
     @classmethod
     def zero(cls, basis: str = "M") -> "QSym":
@@ -78,16 +69,6 @@ class QSym(ReadOnly):
     def basis_element(cls, basis: str, alpha) -> "QSym":
         return cls(basis, {as_composition(alpha): 1})
 
-    def __eq__(self, other):
-        if not isinstance(other, QSym):
-            return NotImplemented
-        return self.basis == other.basis and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.basis, frozenset(self.coeffs.items()))))
-        return self._hash
-
     def __add__(self, other):
         if not isinstance(other, QSym):
             return NotImplemented
@@ -96,10 +77,10 @@ class QSym(ReadOnly):
         merged = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
             merged[alpha] = merged.get(alpha, 0) + c
-        return QSym._made(self.basis, {a: c for a, c in merged.items() if c})
+        return QSym._of(self.basis, {a: c for a, c in merged.items() if c})
 
     def __neg__(self):
-        return QSym._made(self.basis, {a: -c for a, c in self.coeffs.items()})
+        return QSym._of(self.basis, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, QSym):
@@ -110,7 +91,7 @@ class QSym(ReadOnly):
         if isinstance(other, QSym):
             return m_product(self, other)
         scalar = exact(other, "scalar %r", other)
-        return QSym._made(self.basis, {a: c * scalar for a, c in self.coeffs.items() if scalar})
+        return QSym._of(self.basis, {a: c * scalar for a, c in self.coeffs.items() if scalar})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -186,7 +167,7 @@ def m_product(x: QSym, y: QSym) -> QSym:
             weight = a * b
             for gamma, m in _shuffle(alpha, beta, memo).items():
                 acc[gamma] += m * weight
-    return QSym._made("M", {gamma: Fraction(c, sx * sy) for gamma, c in acc.items() if c})
+    return QSym._of("M", {gamma: Fraction(c, sx * sy) for gamma, c in acc.items() if c})
 
 
 def _product(factors) -> QSym:
@@ -196,7 +177,7 @@ def _product(factors) -> QSym:
 
 def monomial_sym(lam) -> QSym:
     """m_lam: sum of M_alpha over all distinct rearrangements alpha of lam."""
-    return QSym._made("M", dict.fromkeys(_rearrangements(as_partition(lam)), Fraction(1)))
+    return QSym._of("M", dict.fromkeys(_rearrangements(as_partition(lam)), Fraction(1)))
 
 
 def _rearrangements(parts: tuple) -> list:
@@ -227,7 +208,7 @@ def elementary_sym(lam) -> QSym:
 
 def homogeneous_sym(lam) -> QSym:
     """h_lam as the product of the full sums over all compositions of each part."""
-    full = [QSym._made("M", dict.fromkeys(compositions(k), Fraction(1))) for k in as_partition(lam)]
+    full = [QSym._of("M", dict.fromkeys(compositions(k), Fraction(1))) for k in as_partition(lam)]
     return _product(full)
 
 
@@ -315,7 +296,7 @@ def _from_fundamentals(n, counts) -> QSym:
                 break
             extra = (extra - 1) & free
     out = {mask_composition(n, mask): Fraction(c) for mask, c in coeffs.items() if c}
-    return QSym._made("M", out)
+    return QSym._of("M", out)
 
 
 # Closed-form rows (Ballantine, Daugherty, Hicks, Mason and Niese,
@@ -339,19 +320,19 @@ def to_coords(q: QSym, target: str) -> QSym:
     integers over one scale, and one Fraction is built per output term.
     """
     if target not in BASES:
-        raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
+        raise ValueError(f"unknown basis {named(target)}; expected one of {BASES}")
     if q.basis == target:
         return q
     if target != "M":
         sums, den = power_numerators(q, target)
         out = {a: Fraction(s, den * math.factorial(sum(a))) for a, s in sums.items()}
-        return QSym._made(target, out)
+        return QSym._of(target, out)
     phi = q.basis == "Phi"  # prod(b) over the blocks is prod(alpha): taken up front
     rows = {a[::-1]: c * z_of_composition(a) for a, c in q.coeffs.items()}
     terms, scale = integer_terms({a: c / math.prod(a) for a, c in rows.items()} if phi else rows)
     sums = _mask_pass(terms, _part_places if phi else _partial_sums, carry=True)
     out = {a[::-1]: Fraction(s, scale * math.factorial(sum(a))) for a, s in sums.items()}
-    return QSym._made("M", out)
+    return QSym._of("M", out)
 
 
 def power_numerators(q: QSym, target: str) -> tuple[dict, int]:
@@ -364,7 +345,7 @@ def power_numerators(q: QSym, target: str) -> tuple[dict, int]:
     over its own scale.
     """
     if target not in ("Psi", "Phi"):
-        raise ValueError(f"unknown power-sum basis {target!r}; expected 'Psi' or 'Phi'")
+        raise ValueError(f"unknown power-sum basis {named(target)}; expected 'Psi' or 'Phi'")
     if q.basis == target:
         terms, den = integer_terms(q.coeffs)
         return {a: c * math.factorial(sum(a)) for a, c in terms}, den

@@ -377,6 +377,9 @@ _ERROR_MATRICES = {
                      "malformed matrix in {dir}/long-entry.json: "
                      "matrix entry [0, 1, 2, 3,... is not an integer",
                      id="long-list-entry"),
+        pytest.param(("expand", "m", "0" + ",1" * 20_000), 2,
+                     "error: composition parts must be positive integers: (0, 1, 1, 1,...\n",
+                     id="long-index"),
         pytest.param(("verify", "all", "--max-n", "17"), 2,
                      "the Toeplitz sweep stops at order 16, so 17 is too large", id="verify-past-limit"),
     ],

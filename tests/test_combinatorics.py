@@ -1,13 +1,24 @@
+import copy
 import math
+import pickle
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quasimm import CoefficientTable, QSym, SquareMatrix
+from quasimm import (
+    CoefficientTable,
+    QSym,
+    SquareMatrix,
+    character_class_function,
+    qimm,
+    qimm_coefficient_table,
+    quasischur,
+)
 from quasimm.combinatorics import (
     PERMUTATION_LIMIT,
     as_composition,
@@ -322,21 +333,40 @@ def test_every_door_reads_a_number_by_one_rule(value, expected):
 
 
 @pytest.mark.parametrize(
-    "value, shown",
+    "doors, value, shown",
     [
-        (list(range(100_000)), "[0, 1, 2, 3,..."),
-        ([[0] * 100_000], "[[0, 0, 0, 0..."),
-        ("x" * 100_000, "'xxxxxxxxxxxx...'"),
-        ("x" * 79, "'xxxxxxxxxxxx...'"),
-        ("x" * 78, repr("x" * 78)),
-        ([1] * 26, repr([1] * 26)),
+        (_DOORS, list(range(100_000)), "[0, 1, 2, 3,..."),
+        (_DOORS, [[0] * 100_000], "[[0, 0, 0, 0..."),
+        (_DOORS, "x" * 100_000, "'xxxxxxxxxxxx...'"),
+        (_DOORS, "x" * 79, "'xxxxxxxxxxxx...'"),
+        (_DOORS, "x" * 78, repr("x" * 78)),
+        (_DOORS, [1] * 26, repr([1] * 26)),
+        ({"composition parts": as_composition}, tuple(range(100_000)) + (0,), "(0, 1, 2, 3,..."),
+        ({"composition parts": as_composition}, (1,) * 25 + (0,), repr((1,) * 25 + (0,))),
+        ({"partition parts": as_partition}, tuple(range(1, 100_000)), "(1, 2, 3, 4,..."),
+        ({"not a permutation": as_permutation}, tuple(range(100_000)), "(0, 1, 2, 3,..."),
+        ({"malformed index": parse_parts}, "1" * 5000, "'111111111111...'"),
+        ({"ccomp table": lambda v: CoefficientTable(1, "ccomp", {v: 1})}, tuple(range(1, 100_000)),
+         "the foreign class (1, 2, 3, 4,..."),
+        ({"coefficient 'x' at": lambda v: QSym("M", {v: "x"})}, (1,) * 40, "(1, 1, 1, 1,..."),
+        ({"weights (at the ctype class": lambda v: CoefficientTable(1, "ctype", {v: "x"})},
+         (1,) * 40, "(1, 1, 1, 1,..."),
     ],
-    ids=["long-list", "nested-list", "long-text", "repr-81", "repr-80", "list-repr-78"],
+    ids=[
+        "long-list", "nested-list", "long-text", "repr-81", "repr-80", "list-repr-78",
+        "long-composition", "composition-repr-78", "long-partition", "long-permutation",
+        "long-index-text", "long-foreign-class", "coefficient-index", "weight-class",
+    ],
 )
-def test_every_door_names_a_long_refused_value_by_its_first_characters(value, shown):
-    """A value whose repr passes 80 characters is named by its first 12; a shorter one whole."""
-    for door, read in _DOORS.items():
-        with pytest.raises(ValueError, match="is not an integer or a/b") as refused:
+def test_every_door_names_a_long_refused_value_by_its_first_characters(doors, value, shown):
+    """A value whose repr passes 80 characters is named by its first 12; a shorter one whole.
+
+    The exact-number doors name the number, the index doors the index, and a
+    refused number's index is named by the same rule.
+    """
+    reason = "is not an integer or a/b" if doors is _DOORS else None
+    for door, read in doors.items():
+        with pytest.raises(ValueError, match=reason) as refused:
             read(value)
         message = str(refused.value)
         assert message.startswith(door.split()[0]) and shown in message, door
@@ -352,10 +382,22 @@ def test_every_door_names_a_refused_value_holding_an_int_past_the_digit_limit(va
             read(value)
         message = str(refused.value)
         assert message.startswith(door.split()[0]) and name in message, door
-    with pytest.raises(ValueError, match=r"^matrix entry <list holding an int past the digit limit>"):
-        SquareMatrix([[[10**5000]]])
-    with pytest.raises(ValueError, match=r"^coefficient <list holding an int past the digit limit>"):
-        QSym("M", {(1,): [10**5000]})
+    listed = "<list holding an int past the digit limit>"
+    held = "<tuple holding an int past the digit limit>"
+    refusals = [
+        (lambda: SquareMatrix([[[10**5000]]]), f"matrix entry {listed}"),
+        (lambda: QSym("M", {(1,): [10**5000]}), f"coefficient {listed}"),
+        (lambda: QSym("M", {(10**5000,): "x"}), f"coefficient 'x' at {held} is not"),
+        (lambda: CoefficientTable(1, "ctype", {(10**5000,): "x"}), f"the ctype class {held}): 'x'"),
+        (lambda: CoefficientTable(1, "ctype", {(10**5000,): 1}), f"has the foreign class {held}"),
+        (lambda: as_composition((10**5000, 0)), f"parts must be positive integers: {held}"),
+        (lambda: as_partition((1, 10**5000)), f"parts must be weakly decreasing: {held}"),
+        (lambda: as_permutation((10**5000,)), f"not a permutation of 1..1: {held}"),
+    ]
+    for build, message in refusals:
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert message in str(refused.value) and "Exceeds the limit" not in str(refused.value)
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "-" + "7" * 5000, "3/" + "2" * 5000])
@@ -368,3 +410,56 @@ def test_every_door_names_text_past_the_digit_limit(text):
         message = str(refused.value)
         assert message.startswith(door.split()[0]) and repr(text[:12] + "...") in message, door
         assert len(message) < 200, door
+
+
+_VALUES = {
+    "matrix": (lambda: SquareMatrix([[1, "1/2"], ["3/4", -2]]), ()),
+    "element": (lambda: quasischur((2, 1)), ("coeffs",)),
+    "character": (lambda: character_class_function((2, 1)), ("numerators",)),
+    "element table": (lambda: qimm_coefficient_table(quasischur((2, 1))), ("numerators",)),
+}
+
+
+@pytest.mark.parametrize("build, mappings", _VALUES.values(), ids=_VALUES)
+def test_copies_and_pickles_of_a_value_are_equal_read_only_values(build, mappings):
+    value = build()
+    pickles = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for made in (copy.copy(value), copy.deepcopy(value), *pickles):
+        assert type(made) is type(value) and made == value and hash(made) == hash(value)
+        read_only = [name for name in made.__slots__ if type(getattr(made, name)) is MappingProxyType]
+        assert read_only == list(mappings)
+        for name in mappings:
+            with pytest.raises(TypeError):
+                getattr(made, name)[()] = 1
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(made, made.__slots__[0], None)
+
+
+def test_an_unpickled_element_finds_its_cached_table():
+    a = SquareMatrix([[1, 2, 0], [0, 1, 3], [1, 1, 1]])
+    q = quasischur((2, 1))
+    assert qimm(a, q) == -8
+    hits = qimm_coefficient_table.cache_info().hits
+    assert qimm(a, pickle.loads(pickle.dumps(q))) == -8
+    assert qimm_coefficient_table.cache_info().hits == hits + 1
+
+
+def test_no_attribute_of_a_fresh_value_can_be_set_or_deleted():
+    q = QSym("M", {(1,): 1})
+    for name in ("basis", "coeffs", "_hash", "degree", "extra"):
+        with pytest.raises(AttributeError, match=f"QSym is read-only: cannot change '{name}'"):
+            setattr(q, name, None)
+        with pytest.raises(AttributeError, match=f"QSym is read-only: cannot change '{name}'"):
+            delattr(q, name)
+    assert not hasattr(q, "_hash")  # never hashed: the hash is computed on the first call, once
+    assert hash(q) == q._hash == hash(QSym("M", {(1,): Fraction(1)}))
+    assert not hasattr(QSym, "_made")
+
+
+def test_equal_tables_hash_equal_however_built():
+    built = CoefficientTable(3, "ctype", {(3,): Fraction(1, 2), (2, 1): 0, (1, 1, 1): "3/2"}, "p")
+    numerators = {(3,): 2, (2, 1): 0, (1, 1, 1): 6}
+    made = CoefficientTable.from_numerators(3, "ctype", numerators, 4, "p")
+    assert built == made and hash(built) == hash(made) and len({built, made}) == 1
+    assert made != CoefficientTable.from_numerators(3, "ctype", numerators, 4, "q")
+    assert made != SquareMatrix([[1]]) and made != 3

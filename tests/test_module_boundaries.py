@@ -4,7 +4,7 @@ A name with a leading underscore belongs to its module.  A rule another
 module needs lives under a public name in its home module (the exact-number
 rule and integer_terms live in combinatorics), so a module that imports
 `_y` from a sibling, or reads `x._y` after `from . import x` or after
-`from .x import x_name` (a class member such as `QSym._made`), fails this
+`from .x import x_name` (a class member such as `QSym._of`), fails this
 test.  Dunder names such as __version__ are not private.
 """
 
