@@ -115,7 +115,7 @@ class ReadOnly:
         raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
 
     def __delattr__(self, name):
-        self.__setattr__(name, None)
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
 
 
 def integer_terms(coeffs: dict):
