@@ -18,6 +18,7 @@ from .combinatorics import (
     ReadOnly,
     as_composition,
     as_partition,
+    as_permutation,
     compositions,
     cycles,
     enumerate_partitions,
@@ -25,10 +26,13 @@ from .combinatorics import (
     format_parts,
     integer_terms,
     named,
+    one_of,
     sort_composition,
     z_of,
     z_of_composition,
 )
+
+KEYS = ("ctype", "ccomp")
 
 
 def sign(sigma) -> int:
@@ -38,7 +42,7 @@ def sign(sigma) -> int:
 
 def fixed_points(sigma) -> int:
     """Number of indices i with sigma(i) = i."""
-    return sum(1 for i, image in enumerate(sigma, start=1) if image == i)
+    return sum(1 for i, image in enumerate(as_permutation(sigma), start=1) if image == i)
 
 
 def chi2(sigma) -> int:
@@ -101,17 +105,14 @@ class CoefficientTable(ReadOnly):
     __slots__ = ("degree", "key", "numerators", "den", "provenance")
 
     def __new__(cls, degree: int, key: str, values: dict, provenance: str = ""):
-        weights = {
-            i: exact(w, "weights (at the %s class %r): %r", key, i, w)
-            for i, w in dict(values).items()
-        }
+        name = f"weights (at the {one_of(key, KEYS, 'table key')} class %s): %s"
+        weights = {i: exact(w, name, i, w) for i, w in dict(values).items()}
         return cls.from_numerators(degree, key, *integer_terms(weights), provenance)
 
     @classmethod
     def from_numerators(cls, degree: int, key: str, numerators, den: int, provenance: str = ""):
         """The table of the weights numerators[class]/den, ints over an int den >= 1, reduced."""
-        if key not in ("ctype", "ccomp"):
-            raise ValueError(f"unknown table key {named(key)}; expected 'ctype' or 'ccomp'")
+        one_of(key, KEYS, "table key")
         numerators = dict(numerators)  # a copy, so the checks below keep holding
         _check_classes(degree, key, numerators)
         for index, w in numerators.items():

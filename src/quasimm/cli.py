@@ -93,8 +93,7 @@ def cmd_qimm(args) -> int:
 
     element = _build_element(args.basis, args.index)
     matrix = _load_matrix(args.matrix)
-    variant = "Phi" if args.variant == "phi" else "Psi"
-    return _emit_scalar(engine.qimm(matrix, element, variant), args)
+    return _emit_scalar(engine.qimm(matrix, element, args.variant), args)
 
 
 def cmd_imm(args) -> int:
@@ -157,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", parents=[common], help="expand a basis element")
     p.add_argument("basis", choices=tuple(_BASIS_BUILDERS))
     p.add_argument("index", help="comma-separated parts, e.g. 2,1,1 or 2,1^3")
-    # Basis names are read in any case: every name in qsym.BASES is capitalized.
+    # Names are read in any case: every name in qsym.BASES (qsym.VARIANTS among them) is capitalized.
     p.add_argument("--target", type=str.capitalize, choices=qsym.BASES, default="M")
     p.set_defaults(func=cmd_expand)
 
@@ -167,9 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.add_argument(
         "--variant",
-        type=str.lower,
-        choices=("psi", "phi"),
-        default="psi",
+        type=str.capitalize,
+        choices=qsym.VARIANTS,
+        default="Psi",
         help="power-sum coordinate system for quasi-immanants",
     )
     p.set_defaults(func=cmd_qimm)

@@ -6,9 +6,10 @@ positive integers, and a permutation of {1..n} is a tuple of its images
 in one-line notation.  The empty tuple is the unique partition,
 composition, and permutation of order 0.  Every number read from a
 caller (a matrix entry, a coefficient, a scalar or a weight) passes one
-rule, exact, and becomes a Fraction, and a refusal names a value by one
-rule, named.  Matrices, elements and tables are ReadOnly values: built,
-compared, hashed, copied and pickled by that one base.
+rule, exact, and becomes a Fraction; every name (a basis, a power-sum
+variant or a table key) passes one check, one_of; and a refusal names a
+value by one rule, named.  Matrices, elements and tables are ReadOnly
+values: built, compared, hashed, copied and pickled by that one base.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def exact(value, name: str, *args) -> Fraction:
     """value as a Fraction: an int, a rational number, a finite Decimal, or text by the text rule.
 
     Anything else, floats and booleans included, is refused with a ValueError
-    naming the value by name % args, formatted only then, each %r argument
-    by the rule of named; so is text past the interpreter's int-to-text digit
+    naming the value by name % args, formatted only then, each argument by
+    the rule of named; so is text past the interpreter's int-to-text digit
     limit.
     """
     reason = "is not an integer or a/b"
@@ -52,9 +53,14 @@ def exact(value, name: str, *args) -> Fraction:
             return Fraction(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    specs = re.findall("%[rs]", name)
-    shown = tuple(named(arg) if spec == "%r" else arg for spec, arg in zip(specs, args))
-    raise ValueError(f"{name.replace('%r', '%s') % shown} {reason}")
+    raise ValueError(f"{name % tuple(map(named, args))} {reason}")
+
+
+def one_of(value, choices: tuple, what: str):
+    """value if it is one of choices; otherwise a ValueError naming it by the rule of named."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {named(value)}; expected one of {choices}")
+    return value
 
 
 def named(value) -> str:
@@ -142,9 +148,10 @@ def as_partition(parts) -> Partition:
 
 
 def as_permutation(images) -> Permutation:
-    """Validate one-line notation: a rearrangement of 1..n."""
+    """Validate one-line notation: a rearrangement of 1..n, each image an int (not a bool)."""
     sigma = tuple(images)
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
+    ints = all(type(i) is int for i in sigma)  # bool and float images compare equal to ints
+    if not ints or sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError(f"not a permutation of 1..{len(sigma)}: {named(sigma)}")
     return sigma
 
@@ -174,6 +181,7 @@ def cycles(sigma) -> tuple[tuple[int, ...], ...]:
     For min-first cycles on disjoint supports this ordering coincides with
     lexicographic order of the cycle sequences.
     """
+    sigma = as_permutation(sigma)
     n = len(sigma)
     seen = [False] * (n + 1)
     out = []

@@ -40,10 +40,10 @@ from .combinatorics import (
     enumerate_partitions,
     exact,
     integer_terms,
-    named,
+    one_of,
     sort_composition,
 )
-from .qsym import QSym, is_symmetric, monomial_sym, p_weights, power_numerators
+from .qsym import VARIANTS, QSym, is_symmetric, monomial_sym, p_weights, power_numerators
 
 
 class SquareMatrix(ReadOnly):
@@ -60,7 +60,7 @@ class SquareMatrix(ReadOnly):
         sequence = (list, tuple)  # text or bytes would be read one character at a time
         if not isinstance(rows, sequence) or not all(isinstance(row, sequence) for row in rows):
             raise ValueError("matrix must be a list of rows, each a list of entries")
-        rows = [[exact(e, "matrix entry %r", e) for e in row] for row in rows]
+        rows = [[exact(e, "matrix entry %s", e) for e in row] for row in rows]
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
         lcms = tuple(math.lcm(*(e.denominator for e in row)) for row in rows)
@@ -275,13 +275,7 @@ def qimm_coefficient_table(q: QSym, variant: str = "Psi") -> CoefficientTable:
     weight n! times its coordinate in the chosen power-sum variant.  Tables
     are cached, and a symmetric q has one table under both variants.
     """
-    return _weights(_element_table, q, _checked_variant(variant))
-
-
-def _checked_variant(variant: str) -> str:
-    if variant not in ("Psi", "Phi"):
-        raise ValueError(f"unknown power-sum variant {named(variant)}")
-    return variant
+    return _weights(_element_table, q, one_of(variant, VARIANTS, "power-sum variant"))
 
 
 def _element_table(q: QSym, variant: str) -> CoefficientTable:
@@ -313,7 +307,7 @@ def qimm(a: SquareMatrix, q: QSym, variant: str = "Psi") -> Fraction:
     permanent); otherwise it is n! times the coordinate of q in the variant
     power sum at the cycle composition.
     """
-    _checked_variant(variant)
+    one_of(variant, VARIANTS, "power-sum variant")
     if not q.coeffs:
         return Fraction(0)
     if q.degree() != a.n:

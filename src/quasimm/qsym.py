@@ -27,13 +27,14 @@ from .combinatorics import (
     format_parts,
     integer_terms,
     mask_composition,
-    named,
+    one_of,
     sort_composition,
     z_of,
     z_of_composition,
 )
 
 BASES = ("M", "Psi", "Phi")
+VARIANTS = ("Psi", "Phi")
 
 
 class QSym(ReadOnly):
@@ -47,12 +48,11 @@ class QSym(ReadOnly):
     __slots__ = ("basis", "coeffs")
 
     def __new__(cls, basis: str, coeffs=()):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {named(basis)}; expected one of {BASES}")
+        one_of(basis, BASES, "basis")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict = {}
         for alpha, c in items:
-            c = exact(c, "coefficient %r at %r", c, alpha)
+            c = exact(c, "coefficient %s at %s", c, alpha)
             alpha = as_composition(alpha)
             clean[alpha] = clean.get(alpha, Fraction(0)) + c
         return cls._of(basis, {a: c for a, c in clean.items() if c})
@@ -90,7 +90,7 @@ class QSym(ReadOnly):
     def __mul__(self, other):
         if isinstance(other, QSym):
             return m_product(self, other)
-        scalar = exact(other, "scalar %r", other)
+        scalar = exact(other, "scalar %s", other)
         return QSym._of(self.basis, {a: c * scalar for a, c in self.coeffs.items() if scalar})
 
     def __rmul__(self, other):
@@ -319,9 +319,7 @@ def to_coords(q: QSym, target: str) -> QSym:
     reversed compositions, and to each other through M.  Coefficients stay
     integers over one scale, and one Fraction is built per output term.
     """
-    if target not in BASES:
-        raise ValueError(f"unknown basis {named(target)}; expected one of {BASES}")
-    if q.basis == target:
+    if one_of(target, BASES, "basis") == q.basis:
         return q
     if target != "M":
         sums, den = power_numerators(q, target)
@@ -344,9 +342,7 @@ def power_numerators(q: QSym, target: str) -> tuple[dict, int]:
     times N!, N the top degree.  An input already in target is read as n! c
     over its own scale.
     """
-    if target not in ("Psi", "Phi"):
-        raise ValueError(f"unknown power-sum basis {named(target)}; expected 'Psi' or 'Phi'")
-    if q.basis == target:
+    if one_of(target, VARIANTS, "power-sum basis") == q.basis:
         terms, den = integer_terms(q.coeffs)
         return {a: c * math.factorial(sum(a)) for a, c in terms}, den
     terms, scale = integer_terms(to_coords(q, "M").coeffs)

@@ -129,7 +129,8 @@ def test_basis_names_take_either_case(primes_path):
         assert result.stdout.strip() == "1/2*Psi[2,1] - 1/2*Psi[1,2] + 1/6*Psi[1,1,1]"
     assert run_cli("expand", "qs", "2,1", "--target", "m").stdout.strip() == "M[2,1] + M[1,1,1]"
     assert run_cli("expand", "p", "2,1", "--target", "phi").stdout.strip() == "Phi[2,1] + Phi[1,2]"
-    for variant, value in (("Psi", "3278"), ("PHI", "1950"), ("phi", "1950")):
+    spellings = (("Psi", "3278"), ("psi", "3278"), ("PSI", "3278"), ("PHI", "1950"), ("phi", "1950"))
+    for variant, value in spellings:
         result = run_cli("qimm", primes_path, "qs", "2,1", "--variant", variant)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == value
@@ -141,7 +142,7 @@ def test_basis_names_take_either_case(primes_path):
         assert result.returncode == 2, args
         assert "invalid choice" in result.stderr
     assert "{M,Psi,Phi}" in run_cli("expand", "--help").stdout
-    assert "{psi,phi}" in run_cli("qimm", "--help").stdout
+    assert "{Psi,Phi}" in run_cli("qimm", "--help").stdout
 
 
 def test_options_are_scoped_to_the_commands_that_read_them(primes_path):

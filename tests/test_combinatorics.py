@@ -14,16 +14,21 @@ from quasimm import (
     CoefficientTable,
     QSym,
     SquareMatrix,
+    c_sigma,
     character_class_function,
+    chi2,
+    fixed_points,
     qimm,
     qimm_coefficient_table,
     quasischur,
+    sign,
 )
 from quasimm.combinatorics import (
     PERMUTATION_LIMIT,
     as_composition,
     as_partition,
     as_permutation,
+    compositions,
     count_perms_with_ctype,
     cycle_composition,
     cycle_type,
@@ -34,11 +39,14 @@ from quasimm.combinatorics import (
     enumerate_permutations,
     format_parts,
     mask_composition,
+    named,
+    one_of,
     parse_parts,
     sort_composition,
     z_of,
     z_of_composition,
 )
+from quasimm.qsym import BASES, VARIANTS, power_numerators, to_coords
 from oracles import (
     coarsenings,
     descent_set,
@@ -128,6 +136,29 @@ def test_cycle_statistics_worked_example():
     assert cycle_type(sigma) == (4, 2, 1)
 
 
+_PERMUTATION_READERS = [cycles, cycle_type, cycle_composition, sign, fixed_points, chi2, c_sigma]
+
+
+@pytest.mark.parametrize("read", _PERMUTATION_READERS, ids=lambda read: read.__name__)
+@pytest.mark.parametrize(
+    "sigma",
+    [("a", 1), (True, 2), (1.0, 2), (1, 1, 1), (3, 3, 3), (2, 2), (7, 7), (0, 1), (5,)],
+    ids=["text", "bool", "float", "ones", "threes", "twos", "sevens", "zero", "five"],
+)
+def test_every_permutation_reader_refuses_what_is_not_a_permutation(read, sigma):
+    """Each reader takes sigma through as_permutation: no bare TypeError, and no answer.
+
+    chi2 refuses order 1 by its own rule first.
+    """
+    if read is chi2 and len(sigma) < 2:
+        with pytest.raises(ValueError, match="^chi2 needs a permutation of order at least 2$"):
+            read(sigma)
+        return
+    with pytest.raises(ValueError) as refused:
+        read(sigma)
+    assert str(refused.value) == f"not a permutation of 1..{len(sigma)}: {sigma!r}"
+
+
 def test_cycle_statistics_small():
     assert cycle_composition((1, 2, 3)) == (1, 1, 1)
     assert cycle_composition((1, 3, 2)) == (1, 2)
@@ -181,6 +212,12 @@ def test_enumerations():
     assert enumerate_partitions(0) == [()]
     assert len(enumerate_permutations(3)) == 6
     assert enumerate_permutations(0) == [()]
+
+
+@pytest.mark.parametrize("enumerate_", [compositions, enumerate_partitions, enumerate_permutations])
+def test_enumerations_refuse_a_negative_order(enumerate_):
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        enumerate_(-1)
 
 
 def test_permutations_past_the_limit_are_refused_before_any_is_built():
@@ -351,11 +388,14 @@ def test_every_door_reads_a_number_by_one_rule(value, expected):
         ({"coefficient 'x' at": lambda v: QSym("M", {v: "x"})}, (1,) * 40, "(1, 1, 1, 1,..."),
         ({"weights (at the ctype class": lambda v: CoefficientTable(1, "ctype", {v: "x"})},
          (1,) * 40, "(1, 1, 1, 1,..."),
+        ({"unknown table key": lambda v: CoefficientTable(1, v, {(1,): "x"})}, "k" * 5000,
+         "'kkkkkkkkkkkk...'"),
     ],
     ids=[
         "long-list", "nested-list", "long-text", "repr-81", "repr-80", "list-repr-78",
         "long-composition", "composition-repr-78", "long-partition", "long-permutation",
         "long-index-text", "long-foreign-class", "coefficient-index", "weight-class",
+        "long-table-key",
     ],
 )
 def test_every_door_names_a_long_refused_value_by_its_first_characters(doors, value, shown):
@@ -416,6 +456,57 @@ def test_every_door_names_text_past_the_digit_limit(text):
         message = str(refused.value)
         assert message.startswith(door.split()[0]) and repr(text[:12] + "...") in message, door
         assert len(message) < 200, door
+
+
+# Each door by which a caller names a basis, a power-sum variant or a table key:
+# (what the refusal calls the name, the names it takes, the door).
+_NAME_DOORS = {
+    "QSym": ("basis", BASES, lambda v: QSym(v)),
+    "to_coords": ("basis", BASES, lambda v: to_coords(QSym("M"), v)),
+    "power_numerators": ("power-sum basis", VARIANTS, lambda v: power_numerators(QSym("M"), v)),
+    "qimm": ("power-sum variant", VARIANTS, lambda v: qimm(SquareMatrix([[1]]), QSym("M"), v)),
+    "qimm_coefficient_table": (
+        "power-sum variant", VARIANTS, lambda v: qimm_coefficient_table(QSym("M", {(1,): 1}), v),
+    ),
+    "CoefficientTable": ("table key", ("ctype", "ccomp"), lambda v: CoefficientTable(1, v, {(1,): 1})),
+    "from_numerators": (
+        "table key", ("ctype", "ccomp"), lambda v: CoefficientTable.from_numerators(1, v, {(1,): 1}, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("door", _NAME_DOORS)
+@pytest.mark.parametrize(
+    "name",
+    ["psi", "m", "CTYPE", "", None, ("Psi",), "k" * 5000],
+    ids=["psi", "m", "CTYPE", "empty", "none", "tuple", "long"],
+)
+def test_every_door_refuses_an_unknown_name_by_one_rule(door, name):
+    """The refusal is one_of's: the name by the rule of named (a long one cut to 12 characters)."""
+    what, choices, read = _NAME_DOORS[door]
+    with pytest.raises(ValueError) as refused:
+        read(name)
+    shown = "'kkkkkkkkkkkk...'" if name == "k" * 5000 else repr(name)
+    assert shown == named(name)
+    assert str(refused.value) == f"unknown {what} {shown}; expected one of {choices}"
+    for choice in choices:
+        read(choice)  # each name the door takes passes its check
+
+
+def test_one_of_returns_the_value_it_checks():
+    assert one_of("Phi", VARIANTS, "power-sum variant") == "Phi"
+    with pytest.raises(ValueError, match=r"^unknown colour 'red'; expected one of \('blue',\)$"):
+        one_of("red", ("blue",), "colour")
+
+
+def test_a_table_with_an_unknown_key_and_a_refused_weight_reports_the_key():
+    for build in (
+        lambda: CoefficientTable(1, "cycles", {(1,): "x"}),
+        lambda: CoefficientTable.from_numerators(1, "cycles", {(1,): "x"}, 0),
+    ):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == "unknown table key 'cycles'; expected one of ('ctype', 'ccomp')"
 
 
 _VALUES = {

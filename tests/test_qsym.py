@@ -722,3 +722,16 @@ def test_format_element():
     assert format_element(M(2) - M(1, 1)) == "M[2] - M[1,1]"
     mixed = M(1) + M(2)
     assert format_element(mixed) == "M[1] + M[2]"
+
+
+def test_a_mixed_element_reads_back_from_its_repr_and_prints_as_its_format():
+    q = quasischur((2, 1)) * Fraction(1, 3) + QSym("M", {(3,): -2})
+    assert eval(repr(q), {"QSym": QSym, "Fraction": Fraction}) == q
+    assert str(q) == format_element(q)
+    with pytest.raises(TypeError):
+        q + 1
+    with pytest.raises(TypeError):
+        q - 1
+    with pytest.raises(ValueError) as refused:
+        qsym.power_numerators(q, "M")
+    assert str(refused.value) == "unknown power-sum basis 'M'; expected one of ('Psi', 'Phi')"
