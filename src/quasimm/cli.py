@@ -4,14 +4,14 @@ Exit codes: 0 on success (and all checks passing for verify), 1 for I/O
 or verification failures, 2 for usage and validation errors.  Argument
 rules live in the library: a ValueError it raises is reported as a usage
 error.  Rational results print in full as p/q in lowest terms, integers
-without the /1.  Each command imports the engine and verification modules
-only if it uses them.
+without the /1.  Each command returns its text, its --json payload and its
+exit code; main alone prints the text and writes the payload.  Each
+command imports the engine and verification modules only if it uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from . import qsym
@@ -22,8 +22,6 @@ class InputError(Exception):
     """Unreadable or malformed input file."""
 
 
-_EXPONENT = re.compile(r"(\d+)\^\{?(\d+)\}?")
-
 _BASIS_BUILDERS = {
     "m": qsym.monomial_sym,
     "p": qsym.power_sym,
@@ -33,15 +31,19 @@ _BASIS_BUILDERS = {
     "qs": qsym.quasischur,
 }
 
-
-def _parse_index(text: str):
-    """Parse a comma-separated index, expanding exponent shorthand like 1^4."""
-    expanded = _EXPONENT.sub(lambda m: ",".join([m.group(1)] * int(m.group(2))), text)
-    return parse_parts(expanded)
+# Each verify scope and the verification function that sweeps it.  It lives
+# here, not in verification, so that a command that does not verify (expand
+# above all) need not load that module.
+_VERIFY_SCOPES = {
+    "examples": "verify_worked_examples",
+    "theorem4": "verify_hook_rules",
+    "toeplitz": "verify_toeplitz",
+    "all": "verify_all",
+}
 
 
 def _build_element(basis: str, index_text: str) -> qsym.QSym:
-    return _BASIS_BUILDERS[basis](_parse_index(index_text))
+    return _BASIS_BUILDERS[basis](parse_parts(index_text))
 
 
 def _load_matrix(path: str):
@@ -55,14 +57,7 @@ def _load_matrix(path: str):
         raise InputError(f"malformed matrix in {path}: {exc}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
-    import json
-
-    with open(path, "w") as out:
-        out.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _emit_scalar(value, args) -> int:
+def _scalar(value):
     # An exact result may pass the interpreter's int-to-text digit limit;
     # lift it for the output only.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -73,74 +68,44 @@ def _emit_scalar(value, args) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    print(text)
-    if args.json:
-        _write_json(args.json, {"value": text})
-    return 0
+    return text, {"value": text}, 0
 
 
-def cmd_expand(args) -> int:
-    element = _build_element(args.basis, args.index)
-    result = qsym.to_coords(element, args.target)
-    print(qsym.format_element(result))
-    if args.json:
-        _write_json(args.json, qsym.to_json_dict(result))
-    return 0
+def cmd_expand(args):
+    result = qsym.to_coords(_build_element(args.basis, args.index), args.target)
+    return qsym.format_element(result), qsym.to_json_dict(result), 0
 
 
-def cmd_qimm(args) -> int:
+def cmd_matrix(args):
+    """qimm, imm, d2, det and perm: one engine function of the matrix and args.read(args).
+
+    The other arguments are read (the index checked, for qimm the element
+    built) before the matrix file is.
+    """
     from . import engine
 
-    element = _build_element(args.basis, args.index)
-    matrix = _load_matrix(args.matrix)
-    return _emit_scalar(engine.qimm(matrix, element, args.variant), args)
+    operands = args.read(args)
+    return _scalar(getattr(engine, args.function)(_load_matrix(args.matrix), *operands))
 
 
-def cmd_imm(args) -> int:
-    from . import engine
-
-    lam = as_partition(_parse_index(args.index))  # the shape is checked before the file is read
-    matrix = _load_matrix(args.matrix)
-    return _emit_scalar(engine.immanant(matrix, lam), args)
-
-
-def cmd_matrix(args) -> int:
-    """d2, det and perm: one engine function of the matrix alone."""
-    from . import engine
-
-    matrix = _load_matrix(args.matrix)
-    return _emit_scalar(getattr(engine, args.function)(matrix), args)
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from . import verification
 
-    sweeps = {
-        "examples": verification.verify_worked_examples,
-        "theorem4": verification.verify_hook_rules,
-        "toeplitz": verification.verify_toeplitz,
-        "all": verification.verify_all,
-    }
+    sweep = getattr(verification, _VERIFY_SCOPES[args.scope])
     try:
-        report = sweeps[args.scope](*(() if args.max_n is None else (args.max_n,)))
+        report = sweep(*(() if args.max_n is None else (args.max_n,)))
     except ValueError as exc:  # a sweep of the scope selects no order, or too many
         raise ValueError(f"verify {args.scope} with --max-n {args.max_n}: {exc}") from exc
-    print(verification.render_table(report))
-    if args.json:
-        _write_json(args.json, report.to_json_dict())
-    return 0 if report.all_pass else 1
+    return verification.render_table(report), report.to_json_dict(), 0 if report.all_pass else 1
 
 
-def cmd_toeplitz(args) -> int:
+def cmd_toeplitz(args):
     import json
 
     from . import verification
 
     payload = verification.toeplitz_tridiagonal(args.n).to_json_dict()
-    print(json.dumps(payload))
-    if args.json:
-        _write_json(args.json, payload)
-    return 0
+    return json.dumps(payload), payload, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,20 +136,28 @@ def _build_parser() -> argparse.ArgumentParser:
         default="Psi",
         help="power-sum coordinate system for quasi-immanants",
     )
-    p.set_defaults(func=cmd_qimm)
+    p.set_defaults(
+        func=cmd_matrix,
+        function="qimm",
+        read=lambda args: (_build_element(args.basis, args.index), args.variant),
+    )
 
     p = sub.add_parser("imm", parents=[common], help="immanant for a partition shape")
     p.add_argument("matrix")
     p.add_argument("index")
-    p.set_defaults(func=cmd_imm)
+    p.set_defaults(
+        func=cmd_matrix,
+        function="immanant",
+        read=lambda args: (as_partition(parse_parts(args.index)),),
+    )
 
     for name, function in (("d2", "second_immanant"), ("det", "determinant"), ("perm", "permanent")):
         p = sub.add_parser(name, parents=[common], help=function.replace("_", " "))
         p.add_argument("matrix")
-        p.set_defaults(func=cmd_matrix, function=function)
+        p.set_defaults(func=cmd_matrix, function=function, read=lambda args: ())
 
     p = sub.add_parser("verify", parents=[common], help="run self-checks and report")
-    p.add_argument("scope", choices=("examples", "theorem4", "toeplitz", "all"))
+    p.add_argument("scope", choices=tuple(_VERIFY_SCOPES))
     p.add_argument("--max-n", dest="max_n", type=int, help="bound for verification sweeps")
     p.set_defaults(func=cmd_verify)
 
@@ -196,10 +169,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, payload, code = args.func(args)
+        print(text)
+        if args.json:
+            import json
+
+            with open(args.json, "w") as out:
+                out.write(json.dumps(payload, indent=2) + "\n")
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

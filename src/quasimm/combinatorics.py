@@ -289,15 +289,22 @@ def enumerate_permutations(n: int) -> list[Permutation]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+_POWER = re.compile(r"(\d+)\^(?:(\d+)|\{(\d+)\})")
+
+
 def parse_parts(text: str) -> Composition:
-    """Parse the comma-separated text form; the empty string is the empty tuple."""
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed index: {named(text)}") from None
+    """Parse the comma-separated text form; the empty string is the empty tuple.
+
+    Each part is an integer k, or k^m or k^{m} for m copies of k (none when
+    m = 0).  Malformed text is refused naming the text as given.
+    """
+    parts = []
+    for part in text.split(",") if text.strip() else ():
+        power = _POWER.fullmatch(part.strip())
+        try:
+            parts += [int(power[1])] * int(power[2] or power[3]) if power else [int(part)]
+        except ValueError:
+            raise ValueError(f"malformed index: {named(text)}") from None
     return as_composition(parts)
 
 

@@ -239,7 +239,7 @@ def determinant_elimination(a: SquareMatrix) -> Fraction:
 
 def immanant(a: SquareMatrix, lam) -> Fraction:
     """Permutation sum weighted by the irreducible character of shape lam."""
-    return weighted_perm_sum(a, _weights(character_class_function, as_partition(lam)))
+    return weighted_perm_sum(a, _weights(character_class_function, _shape_of_order(a, lam)))
 
 
 def second_immanant(a: SquareMatrix) -> Fraction:
@@ -251,12 +251,20 @@ def second_immanant(a: SquareMatrix) -> Fraction:
 
 def elementary_immanant(a: SquareMatrix, lam) -> Fraction:
     """Quasi-immanant of e_lam, weighted by the sign character of S_lam induced to S_n."""
-    return weighted_perm_sum(a, _weights(induced_sign_character, as_partition(lam)))
+    return weighted_perm_sum(a, _weights(induced_sign_character, _shape_of_order(a, lam)))
 
 
 def monomial_immanant(a: SquareMatrix, lam) -> Fraction:
     """Quasi-immanant of m_lam: weight z_mu times the p_mu coefficient of m_lam."""
-    return weighted_perm_sum(a, _weights(monomial_sym, as_partition(lam)))
+    return weighted_perm_sum(a, _weights(monomial_sym, _shape_of_order(a, lam)))
+
+
+def _shape_of_order(a: SquareMatrix, lam):
+    """lam as a partition of a's order, refused before any table for it is built."""
+    lam = as_partition(lam)
+    if sum(lam) != a.n:
+        raise ValueError(f"table degree {sum(lam)} does not match matrix dimension {a.n}")
+    return lam
 
 
 @lru_cache(maxsize=128)  # a fixed bound, above any pool of tables used at once

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import quasimm
+from quasimm.qsym import format_element, schur_sym, to_coords, to_json_dict
+from quasimm.verification import render_table, verify_toeplitz
 
 # The child finds the package where this process found it, from any shell.
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(quasimm.__file__).parent.parent))
@@ -65,7 +67,9 @@ def test_expand_exponent_shorthand():
     assert long_form.stdout == short_form.stdout == braced.stdout
     mixed = run_cli("expand", "qs", "2,1^2")
     plain = run_cli("expand", "qs", "2,1,1")
-    assert mixed.stdout == plain.stdout
+    assert mixed.stdout == plain.stdout == run_cli("expand", "qs", "2,1^{2}").stdout
+    none = run_cli("expand", "qs", "2,1^0")  # a part with no copies adds nothing
+    assert (none.returncode, none.stdout) == (0, run_cli("expand", "qs", "2").stdout)
 
 
 def test_expand_builds_long_shapes():
@@ -178,6 +182,66 @@ def test_scalar_json_payload(tmp_path, small_path):
     result = run_cli("det", small_path, "--json", str(out))
     assert result.returncode == 0
     assert json.loads(out.read_text()) == {"value": "-2"}
+
+
+def _scalar(text):
+    return text, {"value": text}
+
+
+def _expansion(text):
+    element = to_coords(schur_sym((2, 1)), "Psi")
+    return format_element(element), to_json_dict(element)
+
+
+def _toeplitz_report(text):
+    report = verify_toeplitz(3)
+    return render_table(report), report.to_json_dict()
+
+
+# Each command with --json, and what its file must hold given what it printed.
+@pytest.mark.parametrize(
+    "args, printed",
+    [
+        pytest.param(("qimm", "{m}", "qs", "2,1", "--variant", "phi"), _scalar, id="qimm"),
+        pytest.param(("imm", "{m}", "2,1"), _scalar, id="imm"),
+        pytest.param(("d2", "{m}"), _scalar, id="d2"),
+        pytest.param(("det", "{m}"), _scalar, id="det"),
+        pytest.param(("perm", "{m}"), _scalar, id="perm"),
+        pytest.param(("expand", "s", "2,1", "--target", "Psi"), _expansion, id="expand"),
+        pytest.param(("verify", "toeplitz", "--max-n", "3"), _toeplitz_report, id="verify"),
+        pytest.param(("toeplitz", "3"), lambda text: (text, json.loads(text)), id="toeplitz"),
+    ],
+)
+def test_json_holds_what_was_printed(tmp_path, primes_path, args, printed):
+    out = tmp_path / "out.json"
+    result = run_cli(*(arg.format(m=primes_path) for arg in args), "--json", str(out))
+    assert (result.returncode, result.stderr) == (0, "")
+    text = result.stdout.removesuffix("\n")
+    assert (text, json.loads(out.read_text())) == printed(text)
+
+
+def test_an_unwritable_json_path_is_reported_after_the_value(tmp_path, small_path):
+    result = run_cli("det", small_path, "--json", str(tmp_path / "missing" / "det.json"))
+    assert (result.returncode, result.stdout) == (1, "-2\n")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_a_failing_verify_prints_its_table_writes_its_report_and_exits_one(tmp_path, monkeypatch, capsys):
+    from fractions import Fraction
+
+    from quasimm import cli, verification
+
+    monkeypatch.setattr(verification, "toeplitz_d2_closed_form", lambda n: Fraction(7))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "toeplitz", "--max-n", "3", "--json", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    lines = printed.out.splitlines()
+    assert [line.split()[-1] for line in lines[2:-1]] == ["FAIL", "FAIL", "pass"]
+    assert lines[-1] == "1/3 checks passed"
+    payload = json.loads(out.read_text())
+    assert payload["all_pass"] is False
+    assert [item["pass"] for item in payload["items"]] == [False, False, True]
 
 
 def test_fractional_csv_entries(tmp_path):
@@ -381,6 +445,12 @@ _ERROR_MATRICES = {
         pytest.param(("expand", "m", "0" + ",1" * 20_000), 2,
                      "error: composition parts must be positive integers: (0, 1, 1, 1,...\n",
                      id="long-index"),
+        # A malformed part is named as typed; in this table {{ and }} are one brace each.
+        pytest.param(("expand", "m", "1^{{3"), 2, "error: malformed index: '1^{{3'\n", id="open-brace"),
+        pytest.param(("expand", "m", "1^3}}"), 2, "error: malformed index: '1^3}}'\n", id="close-brace"),
+        pytest.param(("expand", "m", "3^2^2"), 2, "error: malformed index: '3^2^2'\n", id="two-powers"),
+        pytest.param(("expand", "m", "1^"), 2, "error: malformed index: '1^'\n", id="no-count"),
+        pytest.param(("expand", "m", "^2"), 2, "error: malformed index: '^2'\n", id="no-part"),
         pytest.param(("verify", "all", "--max-n", "17"), 2,
                      "the Toeplitz sweep stops at order 16, so 17 is too large", id="verify-past-limit"),
     ],

@@ -321,6 +321,7 @@ def test_parse_parts_rejects_garbage():
         parse_parts("0,1")
     assert parse_parts("") == ()
     assert parse_parts(" 2,1 ") == (2, 1)
+    assert parse_parts("2,1^0") == (2,) and parse_parts("3^{2},1^1") == (3, 3, 1)
 
 
 # Each door by which a caller hands the package a number, read back as the Fraction it stored.

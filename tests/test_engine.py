@@ -776,6 +776,16 @@ def test_immanant_shape_spellings_share_one_table():
         immanant(a, [1, 2])
 
 
+@pytest.mark.parametrize("fn", [immanant, elementary_immanant, monomial_immanant])
+def test_a_shape_of_the_wrong_order_builds_no_table(fn):
+    # The table for (30,) lists all p(30) = 5604 classes; the order check must come first.
+    before = qimm_coefficient_table.cache_info()
+    with pytest.raises(ValueError) as refused:
+        fn(SquareMatrix.identity(2), (30,))
+    assert str(refused.value) == "table degree 30 does not match matrix dimension 2"
+    assert qimm_coefficient_table.cache_info().misses == before.misses
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_hook_table_matches_the_per_class_rule(n):
     table = engine._weights(engine._hook_table, n)

@@ -14,16 +14,19 @@ import quasimm
 
 SRC = str(Path(quasimm.__file__).parent.parent)
 
-# Runs `python -m quasimm ARGS` in-process, then prints the modules it loaded.
+# Runs `python -m quasimm ARGS` in-process, then prints the modules it loaded;
+# it imports json for its own output only after listing them.
 _PROBE = """
-import json, runpy, sys
+import runpy, sys
 sys.argv = ["quasimm"] + sys.argv[1:]
 code = None
 try:
     runpy.run_module("quasimm", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules)]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([code, modules]))
 """
 
 
@@ -46,7 +49,15 @@ def test_expand_loads_only_the_element_modules():
         "quasimm", "quasimm.cli", "quasimm.qsym", "quasimm.combinatorics"
     }
     assert "dataclasses" not in modules and "quasimm.engine" not in modules
-    assert "pathlib" not in modules
+    assert "pathlib" not in modules and "json" not in modules
+
+
+def test_expand_loads_json_only_to_write_it(tmp_path):
+    output, modules = _loaded("expand", "m", "1", "--json", "out.json", cwd=tmp_path)
+    assert output == "M[1]" and "json" in modules
+    assert json.loads((tmp_path / "out.json").read_text()) == {
+        "basis": "M", "terms": [{"index": "1", "coeff": "1"}]
+    }
 
 
 def test_qimm_loads_neither_verification_nor_dataclasses(tmp_path):
