@@ -5,35 +5,35 @@ or verification failures, 2 for usage and validation errors.  Argument
 rules live in the library: a ValueError it raises is reported as a usage
 error.  Rational results print in full as p/q in lowest terms, integers
 without the /1.  Each command returns its text, its --json payload and its
-exit code; main alone prints the text and writes the payload.  Each
-command imports the engine and verification modules only if it uses them.
+exit code; main alone prints the text and writes the payload.  The CLI
+calls the library only by its public names, read from the package, which
+loads a name's module on first use: a command loads only what it calls.
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
 
-from . import qsym
-from .combinatorics import as_partition, parse_parts
+from .qsym import BASES, VARIANTS
+
+# The package itself, whose public names resolve on first use (PEP 562).
+package = sys.modules[__package__]
 
 
 class InputError(Exception):
     """Unreadable or malformed input file."""
 
 
+# Each basis letter and the public name of its builder; each verify scope and
+# the public name of the sweep that checks it.
 _BASIS_BUILDERS = {
-    "m": qsym.monomial_sym,
-    "p": qsym.power_sym,
-    "e": qsym.elementary_sym,
-    "h": qsym.homogeneous_sym,
-    "s": qsym.schur_sym,
-    "qs": qsym.quasischur,
+    "m": "monomial_sym",
+    "p": "power_sym",
+    "e": "elementary_sym",
+    "h": "homogeneous_sym",
+    "s": "schur_sym",
+    "qs": "quasischur",
 }
 
-# Each verify scope and the verification function that sweeps it.  It lives
-# here, not in verification, so that a command that does not verify (expand
-# above all) need not load that module.
 _VERIFY_SCOPES = {
     "examples": "verify_worked_examples",
     "theorem4": "verify_hook_rules",
@@ -42,15 +42,13 @@ _VERIFY_SCOPES = {
 }
 
 
-def _build_element(basis: str, index_text: str) -> qsym.QSym:
-    return _BASIS_BUILDERS[basis](parse_parts(index_text))
+def _build_element(basis: str, index_text: str):
+    return getattr(package, _BASIS_BUILDERS[basis])(package.parse_parts(index_text))
 
 
 def _load_matrix(path: str):
-    from . import engine
-
     try:
-        return engine.load_matrix(path)
+        return package.load_matrix(path)
     except OSError as exc:
         raise InputError(f"cannot read matrix file {path}: {exc}") from None
     except ValueError as exc:
@@ -72,8 +70,8 @@ def _scalar(value):
 
 
 def cmd_expand(args):
-    result = qsym.to_coords(_build_element(args.basis, args.index), args.target)
-    return qsym.format_element(result), qsym.to_json_dict(result), 0
+    result = package.to_coords(_build_element(args.basis, args.index), args.target)
+    return package.format_element(result), package.to_json_dict(result), 0
 
 
 def cmd_matrix(args):
@@ -82,29 +80,23 @@ def cmd_matrix(args):
     The other arguments are read (the index checked, for qimm the element
     built) before the matrix file is.
     """
-    from . import engine
-
     operands = args.read(args)
-    return _scalar(getattr(engine, args.function)(_load_matrix(args.matrix), *operands))
+    return _scalar(getattr(package, args.function)(_load_matrix(args.matrix), *operands))
 
 
 def cmd_verify(args):
-    from . import verification
-
-    sweep = getattr(verification, _VERIFY_SCOPES[args.scope])
+    sweep = getattr(package, _VERIFY_SCOPES[args.scope])
     try:
         report = sweep(*(() if args.max_n is None else (args.max_n,)))
     except ValueError as exc:  # a sweep of the scope selects no order, or too many
         raise ValueError(f"verify {args.scope} with --max-n {args.max_n}: {exc}") from exc
-    return verification.render_table(report), report.to_json_dict(), 0 if report.all_pass else 1
+    return package.render_table(report), report.to_json_dict(), 0 if report.all_pass else 1
 
 
 def cmd_toeplitz(args):
     import json
 
-    from . import verification
-
-    payload = verification.toeplitz_tridiagonal(args.n).to_json_dict()
+    payload = package.toeplitz_tridiagonal(args.n).to_json_dict()
     return json.dumps(payload), payload, 0
 
 
@@ -121,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", parents=[common], help="expand a basis element")
     p.add_argument("basis", choices=tuple(_BASIS_BUILDERS))
     p.add_argument("index", help="comma-separated parts, e.g. 2,1,1 or 2,1^3")
-    # Names are read in any case: every name in qsym.BASES (qsym.VARIANTS among them) is capitalized.
-    p.add_argument("--target", type=str.capitalize, choices=qsym.BASES, default="M")
+    # Names are read in any case: every name in BASES (VARIANTS among them) is capitalized.
+    p.add_argument("--target", type=str.capitalize, choices=BASES, default="M")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("qimm", parents=[common], help="quasi-immanant of a matrix")
@@ -132,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variant",
         type=str.capitalize,
-        choices=qsym.VARIANTS,
+        choices=VARIANTS,
         default="Psi",
         help="power-sum coordinate system for quasi-immanants",
     )
@@ -148,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(
         func=cmd_matrix,
         function="immanant",
-        read=lambda args: (as_partition(parse_parts(args.index)),),
+        read=lambda args: (package.as_partition(package.parse_parts(args.index)),),
     )
 
     for name, function in (("d2", "second_immanant"), ("det", "determinant"), ("perm", "permanent")):

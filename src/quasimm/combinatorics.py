@@ -26,6 +26,7 @@ Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
 
 PERMUTATION_LIMIT = 10  # 10! = 3 628 800 tuples; each order past it multiplies that
+PARTS_LIMIT = 100_000  # parts an index may list, checked before a power's copies are built
 
 # Text numbers: an optionally signed integer, or such an integer over a nonzero one.
 _EXACT_TEXT = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
@@ -296,15 +297,19 @@ def parse_parts(text: str) -> Composition:
     """Parse the comma-separated text form; the empty string is the empty tuple.
 
     Each part is an integer k, or k^m or k^{m} for m copies of k (none when
-    m = 0).  Malformed text is refused naming the text as given.
+    m = 0).  Malformed text, or text listing more than PARTS_LIMIT parts, is
+    refused naming the text as given.
     """
     parts = []
     for part in text.split(",") if text.strip() else ():
         power = _POWER.fullmatch(part.strip())
         try:
-            parts += [int(power[1])] * int(power[2] or power[3]) if power else [int(part)]
+            k, copies = (int(power[1]), int(power[2] or power[3])) if power else (int(part), 1)
         except ValueError:
             raise ValueError(f"malformed index: {named(text)}") from None
+        if len(parts) + copies > PARTS_LIMIT:
+            raise ValueError(f"index {named(text)} lists more than {PARTS_LIMIT} parts")
+        parts += [k] * copies
     return as_composition(parts)
 
 

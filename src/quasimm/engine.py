@@ -23,9 +23,6 @@ replaced is a test oracle.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -107,11 +104,16 @@ def load_matrix(path) -> SquareMatrix:
     """
     with open(path, encoding="utf-8-sig") as source:  # a leading byte-order mark is dropped
         text = source.read()
-    if text.lstrip()[:1] in ("{", "["):
+    if text.lstrip()[:1] in ("{", "["):  # each format imports its parser only when read
+        import json
+
         try:
             return matrix_from_json_dict(json.loads(text, parse_int=_json_int))
         except RecursionError:
             raise ValueError("matrix JSON is nested too deeply to read") from None
+    import csv
+    import io
+
     rows = []
     try:
         for row in csv.reader(io.StringIO(text)):

@@ -451,6 +451,9 @@ _ERROR_MATRICES = {
         pytest.param(("expand", "m", "3^2^2"), 2, "error: malformed index: '3^2^2'\n", id="two-powers"),
         pytest.param(("expand", "m", "1^"), 2, "error: malformed index: '1^'\n", id="no-count"),
         pytest.param(("expand", "m", "^2"), 2, "error: malformed index: '^2'\n", id="no-part"),
+        pytest.param(("expand", "m", "1^99999999999999999999"), 2,
+                     "error: index '1^99999999999999999999' lists more than 100000 parts\n",
+                     id="index-over-parts-limit"),
         pytest.param(("verify", "all", "--max-n", "17"), 2,
                      "the Toeplitz sweep stops at order 16, so 17 is too large", id="verify-past-limit"),
     ],

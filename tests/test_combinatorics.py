@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
@@ -24,6 +25,7 @@ from quasimm import (
     sign,
 )
 from quasimm.combinatorics import (
+    PARTS_LIMIT,
     PERMUTATION_LIMIT,
     as_composition,
     as_partition,
@@ -322,6 +324,31 @@ def test_parse_parts_rejects_garbage():
     assert parse_parts("") == ()
     assert parse_parts(" 2,1 ") == (2, 1)
     assert parse_parts("2,1^0") == (2,) and parse_parts("3^{2},1^1") == (3, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"1^{PARTS_LIMIT + 1}", f"2,1^{{{PARTS_LIMIT}}}", ",".join(["1"] * (PARTS_LIMIT + 1)),
+     "1^99999999999999999999", "1^" + "9" * 200],
+    ids=["one-over", "braced-with-a-part", "plain-parts", "past-an-index", "long-count"],
+)
+def test_parse_parts_refuses_an_index_over_the_parts_limit(text):
+    with pytest.raises(ValueError) as info:
+        parse_parts(text)
+    assert str(info.value) == f"index {named(text)} lists more than {PARTS_LIMIT} parts"
+
+
+def test_parse_parts_checks_the_limit_before_building_the_copies():
+    assert parse_parts(f"1^{PARTS_LIMIT}") == (1,) * PARTS_LIMIT
+    assert parse_parts(f"2,1^{PARTS_LIMIT - 1}") == (2,) + (1,) * (PARTS_LIMIT - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="lists more than"):
+            parse_parts("1^3000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # Each door by which a caller hands the package a number, read back as the Fraction it stored.

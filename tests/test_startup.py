@@ -1,6 +1,8 @@
-"""What a command loads: the package root resolves its names lazily, and the
-CLI imports the engine and verification modules only where it uses them."""
+"""What a command loads: the package root resolves its names lazily, the CLI
+reads every library name through it, and a matrix file loads only its parser."""
 
+import argparse
+import ast
 import importlib
 import json
 import os
@@ -67,12 +69,47 @@ def test_qimm_loads_neither_verification_nor_dataclasses(tmp_path):
     assert "quasimm.engine" in modules
     assert "quasimm.verification" not in modules and "dataclasses" not in modules
     assert "pathlib" not in modules
+    assert "csv" in modules and "json" not in modules
+
+
+def test_a_json_matrix_loads_no_csv(tmp_path):
+    (tmp_path / "m.json").write_text('{"n": 2, "entries": [[1, 2], [3, 4]]}')
+    output, modules = _loaded("det", "m.json", cwd=tmp_path)
+    assert output == "-2"
+    assert "json" in modules and "csv" not in modules
 
 
 def test_verify_loads_no_dataclasses():
     output, modules = _loaded("verify", "all", "--max-n", "3")
     assert output.split() == ["check", "expected", "got", "status"]
     assert "quasimm.verification" in modules and "dataclasses" not in modules
+    assert "json" not in modules and "csv" not in modules
+
+
+def test_the_cli_names_only_public_names():
+    from quasimm import cli
+
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    functions = {c: p.get_default("function") for c, p in commands.choices.items()}
+    assert {c for c, f in functions.items() if f} == {"qimm", "imm", "d2", "det", "perm"}
+    names = [*cli._BASIS_BUILDERS.values(), *cli._VERIFY_SCOPES.values(), *filter(None, functions.values())]
+    assert set(names) <= set(quasimm.__all__), set(names) - set(quasimm.__all__)
+
+
+def test_the_cli_imports_from_the_package_only_the_parser_choices():
+    tree = ast.parse(Path(quasimm.__file__).with_name("cli.py").read_text())
+    relative = [
+        (node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert relative == [("qsym", ["BASES", "VARIANTS"])]
+    called = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "package"
+    }
+    assert called and called <= set(quasimm.__all__), called - set(quasimm.__all__)
 
 
 def test_public_names_resolve_to_their_modules():
