@@ -241,11 +241,11 @@ def quasischur(alpha) -> QSym:
     """
     alpha = as_composition(alpha)
     counts = _descent_counts(
-        alpha,
+        alpha[::-1],  # bottom row first
         range(sum(alpha), 0, -1),
-        lambda filled, j: filled[j] not in filled[:j]
+        lambda filled, j: filled[j] not in filled[j + 1 :]
         if filled[j]
-        else j + 1 == len(filled) or filled[j + 1] > 0,
+        else j == 0 or filled[j - 1] > 0,
         lambda before, cell: before[1] >= cell[1],
     )
     return _from_fundamentals(sum(alpha), counts)
@@ -260,7 +260,8 @@ def _descent_counts(shape, values, fits, descent) -> Counter:
     two values placed one after the other, is a descent: descent(cell of the
     first, cell of the second).  Fillings with the same row lengths and the
     same last row share their future, so one pass over the values keeps one
-    mask histogram per such state.
+    mask histogram per such state.  Rows are listed in the order they start,
+    so the scan stops at the first empty row.
     """
     states = {((0,) * len(shape), None): Counter({0: 1})}
     for step, v in enumerate(values):
@@ -269,47 +270,36 @@ def _descent_counts(shape, values, fits, descent) -> Counter:
         for (filled, last), masks in states.items():
             for j, width in enumerate(shape):
                 k = filled[j]
-                if k == width or not fits(filled, j):
-                    continue
-                on = bit if bit and descent((last, filled[last] - 1), (j, k)) else 0
-                grown[filled[:j] + (k + 1,) + filled[j + 1 :], j].update(
-                    {mask | on: c for mask, c in masks.items()}
-                )
+                if k < width and fits(filled, j):
+                    on = bit if bit and descent((last, filled[last] - 1), (j, k)) else 0
+                    grown[filled[:j] + (k + 1,) + filled[j + 1 :], j].update(
+                        {mask | on: c for mask, c in masks.items()}
+                    )
+                if not k:
+                    break
         states = grown
     return sum(states.values(), Counter())  # one state per last row: the outer corners
 
 
 def _from_fundamentals(n, counts) -> QSym:
-    """M coordinates of the sum of counts[mask] F_mask over descent masks of degree n.
-
-    F_D is the sum of M_beta over every beta whose descent set contains D, so
-    each mask's count goes to each of its own supersets: sum of 2^(n-1-|D|)
-    additions over the masks D present.
-    """
+    """M coordinates of the sum of counts[mask] F_mask: one _spread pass over the complements."""
     full = (1 << max(n - 1, 0)) - 1
-    coeffs: defaultdict = defaultdict(int)
-    for mask, c in counts.items():
-        free = extra = full & ~mask
-        while True:  # extra runs over every subset of the free bits
-            coeffs[mask | extra] += c
-            if not extra:
-                break
-            extra = (extra - 1) & free
-    out = {mask_composition(n, mask): Fraction(c) for mask, c in coeffs.items() if c}
+    sums = _coarsen(n, {full & ~mask: c for mask, c in counts.items()}, _spread)
+    out = {mask_composition(n, full & ~m): Fraction(s) for m, s in sums.items() if s}
     return QSym._of("M", out)
 
 
 # Closed-form rows (Ballantine, Daugherty, Hicks, Mason and Niese,
 # "Quasisymmetric power sums").  The row from alpha to a coarsening beta is a
 # product over beta's blocks b (the parts of alpha merged into one part), and
-# from M signed by (-1)^(len(alpha)-len(beta)): M to Psi takes the last part
-# of b, M to Phi sum(b)/len(b), both over z_beta; Psi to M takes 1/pi(b), pi
-# being the product of the partial sums, and Phi to M 1/(len(b)! prod(b)),
-# both times z_alpha.  One loop, _coarsen, builds each block's factor cut by
-# cut from right to left, and each row is a rule of it.  Psi and Phi reach M
-# on the reversed compositions: there a part's partial sum in its block is
-# its distance to the block's end, which the loop knows.  Only submasks of
-# the input's masks are reached: never 2^(n-1) for a sparse input.
+# from M signed by (-1)^(len(alpha)-len(beta)): M to Psi takes the last part of
+# b, M to Phi sum(b)/len(b), both over z_beta; Psi to M takes 1/pi(b), pi being
+# the product of the partial sums, and Phi to M 1/(len(b)! prod(b)), both times
+# z_alpha; F to M is 1 from each complement to its coarsenings.  One loop,
+# _coarsen, builds each block's factor cut by cut, right to left, and each row
+# is a rule of it.  Psi and Phi reach M on the reversed compositions: there a
+# part's partial sum in its block is its distance to the block's end, which the
+# loop knows.  Only submasks of the input's masks are reached.
 
 
 def to_coords(q: QSym, target: str) -> QSym:
@@ -379,12 +369,13 @@ def _coarsen(n, values: dict, rule, partitions: bool = False) -> dict:
     """The rows of one rule summed over the values of degree n: mask -> integer.
 
     The cuts go from n-1 down to 0, where the first block closes.  A mask
-    holds values by the input parts met in its open block, slot 0 for one.
-    At an input cut i, d below the end of that block, rule(held, d, into)
-    adds what dropping the cut moves to into, the list of the mask without
-    it, and returns the value that keeping it closes the block with.  With
-    partitions set, a block closes only if it is no smaller than the closed
-    block on its right and no larger than the i cells on its left.
+    holds values by the input parts met in its open block, slot 0 for one.  At
+    an input cut i, d below the end of that block, the rule (_last_part,
+    _block_means, _partial_sums, _part_places or _spread) adds what dropping
+    the cut moves to into, the list of the mask without it, and returns what
+    keeping it closes the block with.  With partitions set, a block closes
+    only if it is no smaller than the closed block on its right and no larger
+    than the i cells on its left.
     """
     states = {mask: [v, 0] for mask, v in values.items()}
     for i in range(n - 1, -1, -1):
@@ -429,6 +420,12 @@ def _part_places(held, d, into) -> int:
         if v:
             into[k] += v // (k + 1)
     return sum(held)
+
+
+def _spread(held, d, into) -> int:
+    """F to M on complements: F_D sums M over D's supersets, so a cut dropped or kept carries it."""
+    into[0] += held[0]
+    return held[0]
 
 
 def _rearrangement_count(lam) -> int:

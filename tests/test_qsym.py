@@ -305,27 +305,65 @@ def _dense_from_fundamentals(n, counts):
     return QSym("M", {qsym.mask_composition(n, mask): c for mask, c in enumerate(coeffs) if c})
 
 
-@pytest.mark.parametrize("n", range(0, 9))
-def test_fundamental_pass_matches_dense_oracle(n, monkeypatch):
+def _record_histograms(monkeypatch) -> list:
+    """Every (degree, histogram) the builders pass to _from_fundamentals from now on."""
     histograms = []
     sparse = qsym._from_fundamentals
-    monkeypatch.setattr(
-        qsym, "_from_fundamentals", lambda k, counts: histograms.append(counts) or sparse(k, counts)
-    )
+    record = lambda k, counts: histograms.append((k, counts)) or sparse(k, counts)  # noqa: E731
+    monkeypatch.setattr(qsym, "_from_fundamentals", record)
+    return histograms
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_fundamental_pass_matches_dense_oracle(n, monkeypatch):
+    histograms = _record_histograms(monkeypatch)
     shapes = [(quasischur, alpha) for alpha in enumerate_compositions(n)]
     shapes += [(schur_sym, lam) for lam in enumerate_partitions(n)]
     for build, shape in shapes:
         element = build(shape)
-        assert element == _dense_from_fundamentals(n, histograms[-1])
+        assert element == _dense_from_fundamentals(*histograms[-1])
     assert len(histograms) == len(shapes)
 
 
-def test_fundamental_pass_visits_only_supersets():
-    # A mask missing one descent has two supersets: two additions, where the
-    # dense pass runs over all 2^19 masks 19 times.
+def test_fundamental_pass_matches_dense_oracle_on_a_dense_histogram(monkeypatch):
+    # s_(5,4,3,2,1) spreads 10 258 of the 2^14 descent masks of degree 15.
+    histograms = _record_histograms(monkeypatch)
+    element = schur_sym((5, 4, 3, 2, 1))
+    n, counts = histograms[-1]
+    assert n == 15 and len(counts) == 10258
+    assert element == _dense_from_fundamentals(n, counts)
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.dictionaries(
+                st.integers(0, (1 << max(n - 1, 0)) - 1), st.integers(-3, 3), max_size=30
+            ),
+        )
+    )
+)
+@example((3, {0b00: 1, 0b01: -1}))  # M at masks 1 and 3 cancels to zero
+@example((4, {0b000: 2, 0b011: -1, 0b101: -1, 0b110: 0}))
+@example((0, {0: -2}))
+def test_fundamental_pass_matches_dense_oracle_on_any_histogram(histogram):
+    # Signed counts that no tableau count gives, and coefficients that cancel.
+    n, counts = histogram
+    assert qsym._from_fundamentals(n, counts) == _dense_from_fundamentals(n, counts)
+
+
+def test_fundamental_pass_reaches_two_masks_for_one_missing_descent(monkeypatch):
+    # The complement of a mask missing one descent holds one cut: the pass
+    # drops it once and closes two masks, where the dense pass runs over all
+    # 2^19 masks 19 times.
     ones, full = (1,) * 20, (1 << 19) - 1
     assert quasischur(ones) == M(*ones)
+    calls = []
+    spread = qsym._spread
+    monkeypatch.setattr(qsym, "_spread", lambda *args: calls.append(args[0][0]) or spread(*args))
     assert qsym._from_fundamentals(20, {full ^ 1: 3}) == 3 * M(*ones) + 3 * M(2, *ones[2:])
+    assert calls == [3, 3, 3]
 
 
 def test_quasischur_builds_without_content_counts():
