@@ -216,52 +216,47 @@ def schur_sym(lam) -> QSym:
     """s_lam as the sum of F_Des(T) over the standard Young tableaux T of shape lam.
 
     Values 1..n fill the diagram, so each new value is the largest so far:
-    a row may grow while the row above it is longer.  i is a descent when
-    i+1 lies in a strictly lower row (Gessel's fundamental expansion).
+    a started row grows while the row above it is longer.  i is a descent
+    when i+1 lies in a strictly lower row (Gessel's fundamental expansion).
     """
     lam = as_partition(lam)
-    counts = _descent_counts(
+    return _fundamental_sum(
         lam,
         range(1, sum(lam) + 1),
         lambda filled, j: j == 0 or filled[j - 1] > filled[j],
         lambda before, cell: cell[0] > before[0],
     )
-    return _from_fundamentals(sum(lam), counts)
 
 
 def quasischur(alpha) -> QSym:
     """Quasi-Schur element of shape alpha: sum of F_Des(T) over its standard composition tableaux.
 
-    Values n..1 fill the diagram, so each new value is the smallest so far
-    and the composition-tableau rule reads only the row lengths: a row
-    starts once the row below it has started (the first column increases
-    downwards), and it grows from k to k+1 cells unless a row above it
-    holds exactly k.  i is a descent when i+1 lies in a column weakly right
-    of i's.
+    Values n..1 fill the diagram bottom row first, so each new value is the
+    smallest so far and the first column increases downwards.  The
+    composition-tableau rule reads only the row lengths: a started row grows
+    from k to k+1 cells unless a row above it holds exactly k.  i is a
+    descent when i+1 lies in a column weakly right of i's.
     """
     alpha = as_composition(alpha)
-    counts = _descent_counts(
+    return _fundamental_sum(
         alpha[::-1],  # bottom row first
         range(sum(alpha), 0, -1),
-        lambda filled, j: filled[j] not in filled[j + 1 :]
-        if filled[j]
-        else j == 0 or filled[j - 1] > 0,
+        lambda filled, j: filled[j] not in filled[j + 1 :],
         lambda before, cell: before[1] >= cell[1],
     )
-    return _from_fundamentals(sum(alpha), counts)
 
 
-def _descent_counts(shape, values, fits, descent) -> Counter:
-    """Histogram of descent masks over the standard fillings of shape.
+def _fundamental_sum(shape, values, fits, descent) -> QSym:
+    """The sum of F_Des(T) over the standard fillings T of shape, in M coordinates.
 
     Values are placed in the given order, each at the end of a row j that is
-    not full and where fits(filled, j) holds, filled being the number of
-    cells each row holds.  Bit i-1 of a mask is set when i, the smaller of
-    two values placed one after the other, is a descent: descent(cell of the
-    first, cell of the second).  Fillings with the same row lengths and the
-    same last row share their future, so one pass over the values keeps one
-    mask histogram per such state.  Rows are listed in the order they start,
-    so the scan stops at the first empty row.
+    not full.  Rows start in listed order, so the scan of a state stops at
+    its first empty row; a started row grows where fits(filled, j) holds,
+    filled being the number of cells each row holds.  Bit i-1 of a mask is
+    set when i, the smaller of two values placed one after the other, is a
+    descent: descent(cell of the first, cell of the second).  Fillings with
+    the same row lengths and the same last row share their future, so one
+    pass over the values keeps one mask histogram per such state.
     """
     states = {((0,) * len(shape), None): Counter({0: 1})}
     for step, v in enumerate(values):
@@ -270,7 +265,7 @@ def _descent_counts(shape, values, fits, descent) -> Counter:
         for (filled, last), masks in states.items():
             for j, width in enumerate(shape):
                 k = filled[j]
-                if k < width and fits(filled, j):
+                if k < width and (not k or fits(filled, j)):
                     on = bit if bit and descent((last, filled[last] - 1), (j, k)) else 0
                     grown[filled[:j] + (k + 1,) + filled[j + 1 :], j].update(
                         {mask | on: c for mask, c in masks.items()}
@@ -278,7 +273,8 @@ def _descent_counts(shape, values, fits, descent) -> Counter:
                 if not k:
                     break
         states = grown
-    return sum(states.values(), Counter())  # one state per last row: the outer corners
+    histogram = sum(states.values(), Counter())  # one state per last row: the outer corners
+    return _from_fundamentals(sum(shape), histogram)
 
 
 def _from_fundamentals(n, counts) -> QSym:

@@ -381,9 +381,10 @@ def test_count_rule_agrees_with_the_triple_rule(n):
     """Placing n..1, the row lengths alone decide every cell of a composition tableau.
 
     The walk follows the triple rule with rows started bottom-up; at every
-    partial filling it reaches, the count rule of quasischur (a row starts
-    once the row below has, and grows from k cells unless a row above holds
-    exactly k) gives the same verdict on each row's next cell.
+    partial filling it reaches, the count rule of quasischur's pass (a row
+    starts once the row below has, and a started row grows from k cells
+    unless a row above holds exactly k) gives the same verdict on each
+    row's next cell.
     """
     for alpha in enumerate_compositions(n):
         complete, stack = 0, [[[0] * width for width in alpha]]
@@ -407,6 +408,28 @@ def test_count_rule_agrees_with_the_triple_rule(n):
                     grown[j][k] = v
                     stack.append(grown)
         assert complete == count_composition_tableaux(alpha, (1,) * n)
+
+
+def test_tableau_pass_asks_the_basis_rule_only_about_started_rows(monkeypatch):
+    # The pass alone starts empty rows, in listed order; each builder's rule
+    # is asked only whether a started row grows.
+    shapes = [(4, 4, 4), (1, 3, 1, 3), (2,) + (1,) * 12, (3, 3) + (1,) * 6]
+    builds = [(quasischur, alpha) for alpha in shapes]
+    builds += [(schur_sym, tuple(sorted(alpha, reverse=True))) for alpha in shapes]
+    expected = [build(shape) for build, shape in builds]
+    asked = []
+    tableau_pass = qsym._fundamental_sum
+
+    def recording(shape, values, fits, descent):
+        def rule(filled, j):
+            asked.append((filled, j))
+            return fits(filled, j)
+
+        return tableau_pass(shape, values, rule, descent)
+
+    monkeypatch.setattr(qsym, "_fundamental_sum", recording)
+    assert [build(shape) for build, shape in builds] == expected
+    assert asked and all(filled[j] for filled, j in asked)
 
 
 def test_tableau_builds_keep_a_flat_stack_at_degree_1000():
